@@ -15,7 +15,6 @@ from . import matcore
 from .errors import ShapeMismatch, SingularTransform
 from .states import DensityMatrix
 
-CHOI_HERMITIAN_RTOL = 1e-10
 CONDITION_CAP = 1e12
 POSITIVITY_PROBE_RTOL = 1e-12
 
@@ -27,7 +26,6 @@ class ChoiOperator:
     choi: np.ndarray
     dim_in: int
     dim_out: int
-    hermitian: bool | None = None
 
     def __post_init__(self):
         self.choi = matcore.as_cmatrix(self.choi)
@@ -36,9 +34,6 @@ class ChoiOperator:
             raise ShapeMismatch(
                 f"Choi matrix has shape {self.choi.shape}, expected ({d}, {d})"
             )
-        if self.hermitian is None:
-            scale = matcore.max_abs(self.choi)
-            self.hermitian = matcore.hermitian_defect(self.choi) <= CHOI_HERMITIAN_RTOL * scale
 
     def tensor_view(self) -> np.ndarray:
         return self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
@@ -51,7 +46,7 @@ class ChoiOperator:
 def choi_from_state(rho: DensityMatrix) -> ChoiOperator:
     """Reinterpret a bipartite state as the Choi matrix of its map; no data
     transformation."""
-    return ChoiOperator(rho.mat, rho.dim_a, rho.dim_b, hermitian=True)
+    return ChoiOperator(rho.mat, rho.dim_a, rho.dim_b)
 
 
 def choi_from_map(fn, n: int, m: int) -> ChoiOperator:

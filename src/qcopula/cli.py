@@ -3,8 +3,9 @@ suites, and the classical doubly-stochastic scaler.
 
 All outputs are deterministic JSON (17-significant-digit floats); the only
 run-dependent field is ``timing_ms``. Exit codes: 0 success, 1 experiment
-suite reported failing cases (or an internal bug surfaced as a traceback),
-2 solver did not converge, 3 invalid input or usage, 4 unknown suite name.
+suite reported failing cases or a solve failed its own verification (an
+internal bug), 2 solver did not converge, 3 invalid input or usage, 4
+unknown suite name.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,16 +23,16 @@ from . import copula as copmod
 from . import jsonio, pmetric, sinkhorn, states
 from .choi import choi_from_state
 from .copula import SolverConfig
-from .errors import NotConverged, QcopulaError
+from .errors import NotConverged, PrecopulaCheckFailed, QcopulaError, VerificationFailed
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
+EXIT_INTERNAL = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_INVALID = 3
 EXIT_UNKNOWN_SUITE = 4
 
 SUITES = ("preserve-separability", "uniqueness", "convergence", "lambda", "metric-axioms")
-THREADS_ENV = "QCOPULA_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,24 +107,6 @@ def _digest(raw: bytes) -> str:
 
 def _verdict_dict(v: states.SeparabilityVerdict) -> dict:
     return {"tag": v.tag, "min_pt_eigenvalue": v.min_pt_eigenvalue}
-
-
-def _workers(count: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, count))
-
-
-def _run_cases(fn, count: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def cmd_copula(args) -> int:
@@ -412,9 +393,8 @@ def cmd_experiment(args) -> int:
     if args.count < 1:
         raise QcopulaError("count must be >= 1")
     one, agg = _SUITE_BUILDERS[args.suite](args.seed, args.count, dims, cfg)
-    workers = _workers(args.count)
     start = time.perf_counter()
-    records = _run_cases(one, args.count, workers)
+    records = [one(i) for i in range(args.count)]
     timing_ms = (time.perf_counter() - start) * 1000.0
     passed = sum(1 for r in records if r["pass"])
     doc = {
@@ -422,7 +402,7 @@ def cmd_experiment(args) -> int:
         "seed": args.seed,
         "count": args.count,
         "dims": list(dims),
-        "workers": workers,
+        "workers": 1,  # cases run serially; the key keeps the document schema
         "config": cfg.to_dict(),
         "passed": passed,
         "failed": args.count - passed,
@@ -448,6 +428,9 @@ def main(argv=None) -> int:
     except NotConverged as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NOT_CONVERGED
+    except (VerificationFailed, PrecopulaCheckFailed) as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
     except (QcopulaError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

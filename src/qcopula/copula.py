@@ -250,10 +250,10 @@ def copula_of(
         work = states.DensityMatrix(matcore.hermitian_part(mixed), n, m)
         regularized = True
     else:
-        w = np.linalg.eigvalsh(matcore.hermitian_part(rho.mat))
-        if w[0] <= cfg.rank_tol * max(float(w[-1]), 0.0):
+        lo, hi = rho.eig_range
+        if lo <= cfg.rank_tol * max(hi, 0.0):
             raise RankDeficient(
-                f"state eigenvalue floor {w[0]:.3e} is below rank_tol={cfg.rank_tol:g} "
+                f"state eigenvalue floor {lo:.3e} is below rank_tol={cfg.rank_tol:g} "
                 f"of the top eigenvalue; pass regularize=True to proceed on a perturbed state"
             )
     phi = choimod.choi_from_state(work)

@@ -73,12 +73,11 @@ def complex_matrix_to_pairs(mat) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def pairs_to_complex(rows, what: str = "matrix") -> np.ndarray:
-    """Unpack nested [re, im] pairs into a complex matrix."""
+def _rows(rows, what: str):
+    """Yield (index, row) over a non-empty list of equal-length list rows."""
     if not isinstance(rows, list) or not rows:
         raise InvalidInput(f"{what}: expected a non-empty list of rows")
     ncols = None
-    out = []
     for r, row in enumerate(rows):
         if not isinstance(row, list):
             raise InvalidInput(f"{what}: row {r} is not a list")
@@ -86,6 +85,19 @@ def pairs_to_complex(rows, what: str = "matrix") -> np.ndarray:
             ncols = len(row)
         elif len(row) != ncols:
             raise InvalidInput(f"{what}: ragged rows ({len(row)} vs {ncols})")
+        yield r, row
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"{what}: entries must be finite")
+    return arr
+
+
+def pairs_to_complex(rows, what: str = "matrix") -> np.ndarray:
+    """Unpack nested [re, im] pairs into a complex matrix."""
+    out = []
+    for r, row in _rows(rows, what):
         vals = []
         for c, cell in enumerate(row):
             if (
@@ -96,30 +108,15 @@ def pairs_to_complex(rows, what: str = "matrix") -> np.ndarray:
                 raise InvalidInput(f"{what}: entry ({r}, {c}) is not a [re, im] pair")
             vals.append(complex(cell[0], cell[1]))
         out.append(vals)
-    arr = np.array(out, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{what}: entries must be finite")
-    return arr
+    return _finite(np.array(out, dtype=np.complex128), what)
 
 
 def real_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     """Read a plain real matrix given either as a bare 2-D array or under a
     "matrix" key."""
     rows = obj.get("matrix") if isinstance(obj, dict) else obj
-    if not isinstance(rows, list) or not rows:
-        raise InvalidInput(f"{what}: expected a non-empty list of rows")
-    ncols = None
-    for r, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise InvalidInput(f"{what}: row {r} is not a list")
-        if ncols is None:
-            ncols = len(row)
-        elif len(row) != ncols:
-            raise InvalidInput(f"{what}: ragged rows ({len(row)} vs {ncols})")
+    for r, row in _rows(rows, what):
         for c, cell in enumerate(row):
             if not isinstance(cell, (int, float)) or isinstance(cell, bool):
                 raise InvalidInput(f"{what}: entry ({r}, {c}) is not a number")
-    arr = np.array(rows, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{what}: entries must be finite")
-    return arr
+    return _finite(np.array(rows, dtype=np.float64), what)

@@ -6,6 +6,7 @@ unless stated otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,6 @@ from .errors import NonFinite, NotHermitian, NotPositiveDefinite, ShapeMismatch
 
 HERMITIAN_RTOL = 1e-10
 PD_EIG_RTOL = 1e-12
-DEFAULT_RANK_TOL = 1e-10
 _PHASE_TOL = 1e-12
 
 
@@ -41,16 +41,28 @@ def hermitian_defect(a: np.ndarray) -> float:
     return max_abs(a - a.conj().T)
 
 
-def require_hermitian(a, rtol: float = HERMITIAN_RTOL, what: str = "matrix") -> np.ndarray:
-    """Validate Hermitianness within ``rtol`` and return the Hermitian part."""
-    m = as_cmatrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"{what} must be square, got shape {m.shape}")
-    scale = max_abs(m)
-    if hermitian_defect(m) > rtol * scale:
+def require_hermitian(
+    a, rtol: float = HERMITIAN_RTOL, what: str = "matrix", scale_floor: float = 0.0
+) -> np.ndarray:
+    """Validate that ``a`` is a finite square matrix, Hermitian within
+    ``rtol * max(scale, scale_floor)`` where scale is its largest entry
+    magnitude, and return its Hermitian part as a fresh array.
+
+    ``a`` itself is neither copied nor modified, so callers that keep the
+    input as given can validate it without a second copy.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeMismatch(f"{what} must be a square matrix, got shape {m.shape}")
+    scale = max(max_abs(m), scale_floor)
+    # NaN or Inf anywhere makes the largest magnitude non-finite.
+    if not math.isfinite(scale):
+        raise NonFinite(f"{what} contains NaN or Inf entries")
+    defect = hermitian_defect(m)
+    if defect > rtol * scale:
         raise NotHermitian(
             f"{what} is not Hermitian within {rtol:g} relative "
-            f"(defect {hermitian_defect(m):.3e}, scale {scale:.3e})"
+            f"(defect {defect:.3e}, scale {scale:.3e})"
         )
     return hermitian_part(m)
 
@@ -104,31 +116,6 @@ def cholesky_like_factor(a, method: str = "sqrt") -> np.ndarray:
     raise ValueError(f"unknown factorization method {method!r}")
 
 
-def inv_psd(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a Hermitian PSD matrix.
-
-    Eigenvalues at or below ``rank_tol`` times the largest are treated as
-    kernel directions and map to zero.
-    """
-    spectrum = eig_hermitian(a)
-    w = spectrum.eigenvalues
-    lmax = max(float(w[-1]), 0.0)
-    inv_w = np.zeros_like(w)
-    if lmax > 0.0:
-        keep = w > rank_tol * lmax
-        inv_w[keep] = 1.0 / w[keep]
-    return (spectrum.eigenvectors * inv_w) @ spectrum.eigenvectors.conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with (A o B)[(i p + k), (j q + l)] = A[i,j] B[k,l]."""
     return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
-def frobenius_inner(x, y) -> complex:
-    """Hilbert-Schmidt inner product Tr(x* y); antilinear in ``x``."""
-    mx = as_cmatrix(x)
-    my = as_cmatrix(y)
-    if mx.shape != my.shape:
-        raise ShapeMismatch(f"shape mismatch: {mx.shape} vs {my.shape}")
-    return complex(np.vdot(mx, my))

@@ -26,13 +26,7 @@ BOUNDARY_WEIGHTS = (1e-2, 1e-4, 1e-6)
 
 
 def _psd_spectrum(mat, rank_tol: float, what: str):
-    m = matcore.as_cmatrix(mat)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"{what} must be square, got shape {m.shape}")
-    scale = matcore.max_abs(m)
-    if matcore.hermitian_defect(m) > 1e-10 * scale:
-        raise NotPSD(f"{what} is not Hermitian")
-    h = matcore.hermitian_part(m)
+    h = matcore.require_hermitian(mat, what=what)
     if float(np.linalg.norm(h)) <= ZERO_FNORM_TOL:
         raise ZeroMatrix(f"{what} is numerically zero")
     w, v = np.linalg.eigh(h)

@@ -8,12 +8,12 @@ the first tensor factor has dimension n and varies slowest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio, matcore
-from .errors import DegenerateSample, InvalidInput, NotHermitian, NotPSD
+from .errors import DegenerateSample, InvalidInput, NotPSD
 
 STATE_HERMITIAN_RTOL = 1e-10
 STATE_TRACE_ATOL = 1e-10
@@ -31,11 +31,17 @@ PPT_EXACT_DIMS = ((2, 2), (2, 3), (3, 2))
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one matrix with bipartite dimension metadata."""
+    """Hermitian, PSD, trace-one matrix with bipartite dimension metadata.
+
+    ``mat`` is a read-only copy of the input, so ``eig_range``, the smallest
+    and largest eigenvalue found by the PSD check, stays valid for the
+    object's lifetime.
+    """
 
     mat: np.ndarray
     dim_a: int
     dim_b: int
+    eig_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m = int(self.dim_a), int(self.dim_b)
@@ -47,20 +53,19 @@ class DensityMatrix:
             raise InvalidInput(
                 f"dims: matrix has shape {mat.shape}, expected ({d}, {d}) for dims ({n}, {m})"
             )
-        scale = matcore.max_abs(mat)
-        if matcore.hermitian_defect(mat) > STATE_HERMITIAN_RTOL * scale:
-            raise NotHermitian(
-                f"density matrix is not Hermitian within {STATE_HERMITIAN_RTOL:g} relative"
-            )
+        h = matcore.require_hermitian(mat, STATE_HERMITIAN_RTOL, "density matrix")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > STATE_TRACE_ATOL:
             raise InvalidInput(f"trace: expected 1 within {STATE_TRACE_ATOL:g}, got {tr.real:.12g}")
-        lo = float(np.linalg.eigvalsh(matcore.hermitian_part(mat))[0])
+        w = np.linalg.eigvalsh(h)
+        lo = float(w[0])
         if lo < STATE_EIG_FLOOR:
             raise NotPSD(f"PSD: minimum eigenvalue {lo:.3e} below {STATE_EIG_FLOOR:g}")
+        mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dim_a", n)
         object.__setattr__(self, "dim_b", m)
+        object.__setattr__(self, "eig_range", (lo, float(w[-1])))
 
     @property
     def dim(self) -> int:
@@ -144,9 +149,9 @@ def random_full_rank_state(n: int, m: int, seed) -> DensityMatrix:
     """
     rng = np.random.default_rng(seed)
     for _ in range(RESAMPLE_ATTEMPTS):
-        mat = wishart_state_matrix(n * m, rng)
-        if np.linalg.eigvalsh(mat)[0] > FULL_RANK_FLOOR:
-            return DensityMatrix(mat, n, m)
+        rho = DensityMatrix(wishart_state_matrix(n * m, rng), n, m)
+        if rho.eig_range[0] > FULL_RANK_FLOOR:
+            return rho
     raise DegenerateSample(
         f"could not draw a full-rank ({n}, {m}) state in {RESAMPLE_ATTEMPTS} attempts"
     )
@@ -168,8 +173,9 @@ def random_separable_state(n: int, m: int, terms: int, seed) -> DensityMatrix:
             acc += p * np.kron(wishart_state_matrix(n, rng), wishart_state_matrix(m, rng))
         acc = matcore.hermitian_part(acc)
         acc /= np.trace(acc).real
-        if np.linalg.eigvalsh(acc)[0] > FULL_RANK_FLOOR:
-            return DensityMatrix(acc, n, m)
+        rho = DensityMatrix(acc, n, m)
+        if rho.eig_range[0] > FULL_RANK_FLOOR:
+            return rho
     raise DegenerateSample(
         f"could not draw a full-rank separable ({n}, {m}) state in {RESAMPLE_ATTEMPTS} attempts"
     )
@@ -215,13 +221,10 @@ def state_from_dict(obj) -> DensityMatrix:
         raise InvalidInput(
             f"dims: matrix has shape {mat.shape}, expected ({d}, {d}) for dims ({n}, {m})"
         )
-    scale = matcore.max_abs(mat)
-    if matcore.hermitian_defect(mat) > JSON_ATOL * max(scale, 1.0):
-        raise NotHermitian(f"matrix is not Hermitian within {JSON_ATOL:g}")
+    h = matcore.require_hermitian(mat, JSON_ATOL, "matrix", scale_floor=1.0)
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > JSON_ATOL:
         raise InvalidInput(f"trace: expected 1 within {JSON_ATOL:g}, got {tr.real:.12g}")
-    h = matcore.hermitian_part(mat)
     w, v = np.linalg.eigh(h)
     if w[0] < -JSON_ATOL:
         raise NotPSD(f"PSD: minimum eigenvalue {w[0]:.3e} below {-JSON_ATOL:g}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcopula import cli, states
+from qcopula.errors import PrecopulaCheckFailed, VerificationFailed
 from qcopula.jsonio import canonical_dumps
 
 
@@ -204,23 +205,30 @@ class TestExperimentCommand:
             ["experiment", "metric-axioms", "--seed", "4", "--count", "25", "--output", str(out)]
         )
         assert code == 0
-        assert json.loads(out.read_text())["all_passed"] is True
-
-    def test_threads_env_parallel_matches_serial(self, tmp_path, monkeypatch):
-        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        args = ["experiment", "lambda", "--seed", "11", "--count", "6"]
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-        assert cli.main(args + ["--output", str(serial)]) == 0
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        assert cli.main(args + ["--output", str(parallel)]) == 0
-        ds, dp = json.loads(serial.read_text()), json.loads(parallel.read_text())
-        for doc in (ds, dp):
-            doc.pop("timing_ms")
-            doc.pop("workers")
-        assert canonical_dumps(ds) == canonical_dumps(dp)
+        doc = json.loads(out.read_text())
+        assert doc["all_passed"] is True
+        assert doc["workers"] == 1
 
     def test_bad_dims_exits_3(self):
         assert cli.main(["experiment", "lambda", "--dims", "2x3", "--count", "1"]) == 3
+
+
+class TestInternalErrors:
+    """A solve that fails its own verification is a bug, reported as exit 1."""
+
+    @pytest.mark.parametrize("error", [VerificationFailed, PrecopulaCheckFailed])
+    @pytest.mark.parametrize("command", ["copula", "experiment"])
+    def test_verification_failures_exit_1(self, tmp_path, monkeypatch, capsys, error, command):
+        def failing_copula_of(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli.copmod, "copula_of", failing_copula_of)
+        if command == "copula":
+            argv = ["copula", write_json(tmp_path / "in.json", maximally_mixed_doc())]
+        else:
+            argv = ["experiment", "lambda", "--count", "2"]
+        assert cli.main(argv) == 1
+        assert "injected failure" in capsys.readouterr().err
 
 
 class TestUsageErrors:

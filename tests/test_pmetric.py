@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcopula import choi, pmetric, states
-from qcopula.errors import NotPSD, ShapeMismatch, ZeroMatrix
+from qcopula.errors import NotHermitian, NotPSD, ShapeMismatch, ZeroMatrix
 
 
 def random_pd(rng, n):
@@ -107,6 +107,10 @@ class TestHilbertDistance:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             pmetric.hilbert_distance(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            pmetric.hilbert_distance(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

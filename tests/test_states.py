@@ -44,6 +44,52 @@ class TestDensityMatrix:
         with pytest.raises(NotPSD):
             states.DensityMatrix(np.diag([0.7, 0.5, -0.1, -0.1]), 2, 2)
 
+    # Tolerance edges: 1e-10 relative Hermitian defect, 1e-10 trace,
+    # eigenvalue floor -1e-10. Each pair sits at 0.9x and 1.1x the bound.
+    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+    def test_hermitian_edge(self, factor, ok):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 1] = factor * 1e-10 * 0.25  # defect against scale 0.25
+        if ok:
+            states.DensityMatrix(mat, 2, 2)
+        else:
+            with pytest.raises(NotHermitian):
+                states.DensityMatrix(mat, 2, 2)
+
+    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+    def test_trace_edge(self, factor, ok):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 0] += factor * 1e-10
+        if ok:
+            states.DensityMatrix(mat, 2, 2)
+        else:
+            with pytest.raises(InvalidInput, match="trace"):
+                states.DensityMatrix(mat, 2, 2)
+
+    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+    def test_eigenvalue_floor_edge(self, factor, ok):
+        e = factor * 1e-10
+        mat = np.diag([0.5, 0.3, 0.2 + e, -e]).astype(complex)
+        if ok:
+            states.DensityMatrix(mat, 2, 2)
+        else:
+            with pytest.raises(NotPSD):
+                states.DensityMatrix(mat, 2, 2)
+
+    def test_records_eigenvalue_range(self):
+        for seed, (n, m) in enumerate([(1, 1), (2, 2), (2, 3), (4, 4)]):
+            rho = states.random_full_rank_state(n, m, seed)
+            w = np.linalg.eigvalsh(rho.mat)
+            assert rho.eig_range == (w[0], w[-1])
+
+    def test_matrix_is_read_only_copy(self):
+        src = np.eye(4, dtype=complex) / 4
+        rho = states.DensityMatrix(src, 2, 2)
+        with pytest.raises(ValueError):
+            rho.mat[0, 0] = 1.0
+        src[0, 0] = 1.0  # the caller's array stays writable and separate
+        assert rho.mat[0, 0] == 0.25
+
 
 class TestPartialTraces:
     def test_product_state_marginals(self):
@@ -196,6 +242,44 @@ class TestJsonSchema:
         doc = {"dims": [2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in mat]}
         with pytest.raises(NotPSD, match="PSD"):
             states.state_from_dict(doc)
+
+    # File tolerance edges: Hermitian 1e-8 * max(scale, 1), trace and PSD
+    # 1e-8, on the (4,4) maximally mixed state; 0.5x is accepted, 2x not.
+    @staticmethod
+    def mixed_doc_4x4(diag=None):
+        w = np.full(16, 1 / 16) if diag is None else np.asarray(diag)
+        return {"dims": [4, 4], "matrix": [[[float(z), 0.0] for z in row] for row in np.diag(w)]}
+
+    @pytest.mark.parametrize("defect, ok", [(5e-9, True), (2e-8, False)])
+    def test_hermitian_edge(self, defect, ok):
+        doc = self.mixed_doc_4x4()
+        doc["matrix"][0][1] = [defect, 0.0]
+        if ok:
+            states.state_from_dict(doc)
+        else:
+            with pytest.raises(NotHermitian):
+                states.state_from_dict(doc)
+
+    @pytest.mark.parametrize("excess, ok", [(5e-9, True), (2e-8, False)])
+    def test_trace_edge(self, excess, ok):
+        doc = self.mixed_doc_4x4()
+        doc["matrix"][0][0] = [1 / 16 + excess, 0.0]
+        if ok:
+            states.state_from_dict(doc)
+        else:
+            with pytest.raises(InvalidInput, match="trace"):
+                states.state_from_dict(doc)
+
+    @pytest.mark.parametrize("neg, ok", [(5e-9, True), (2e-8, False)])
+    def test_psd_edge(self, neg, ok):
+        w = np.full(16, 1 / 16)
+        w[0], w[1] = -neg, 2 / 16 + neg
+        doc = self.mixed_doc_4x4(w)
+        if ok:
+            states.state_from_dict(doc)
+        else:
+            with pytest.raises(NotPSD, match="PSD"):
+                states.state_from_dict(doc)
 
     def test_rejects_bad_dims(self):
         doc = states.state_to_dict(states.DensityMatrix(np.eye(4) / 4, 2, 2))
