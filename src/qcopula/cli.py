@@ -23,7 +23,13 @@ from . import copula as copmod
 from . import jsonio, pmetric, sinkhorn, states
 from .choi import choi_from_state
 from .copula import SolverConfig
-from .errors import NotConverged, PrecopulaCheckFailed, QcopulaError, VerificationFailed
+from .errors import (
+    InvalidInput,
+    NotConverged,
+    PrecopulaCheckFailed,
+    QcopulaError,
+    VerificationFailed,
+)
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -77,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> SolverConfig:
-    """Defaults <- config file <- explicit flags."""
+    """Defaults <- config file <- explicit flags, then one range check of
+    the result, so that file values and flags are held to the same bounds."""
     cfg = SolverConfig()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -90,6 +97,15 @@ def _resolve_config(args) -> SolverConfig:
         cfg.regularize = args.regularize
     if getattr(args, "reg_eps", None) is not None:
         cfg.reg_eps = args.reg_eps
+    for name in ("tol", "marginal_tol", "rank_tol"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise InvalidInput(f"config: {name} must be finite, got {getattr(cfg, name)!r}")
+    if cfg.tol <= 0.0:
+        raise InvalidInput(f"config: tol must be positive, got {cfg.tol!r}")
+    if cfg.max_iter < 1:
+        raise InvalidInput(f"config: max_iter must be at least 1, got {cfg.max_iter!r}")
+    if not 0.0 < cfg.reg_eps < 1.0:
+        raise InvalidInput(f"config: reg_eps must be in (0, 1), got {cfg.reg_eps!r}")
     return cfg
 
 

@@ -13,12 +13,13 @@ representative with maximally mixed marginals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import choi as choimod
-from . import matcore, pmetric, states
+from . import matcore, states
 from .errors import (
     InvalidInput,
     NotConverged,
@@ -110,25 +111,51 @@ class CopulaResult:
     reg_eps: float = 0.0
 
 
-def _inv_pd(mat: np.ndarray, context: str) -> np.ndarray:
-    """Inverse of a positive-definite matrix; eigenvalues below the relative
-    floor signal a near-rank-deficient input upstream."""
-    h = matcore.hermitian_part(mat)
-    w, v = np.linalg.eigh(h)
+def _eig_pd(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of the Hermitian part of a positive-definite matrix;
+    eigenvalues below the relative floor signal a near-rank-deficient input
+    upstream."""
+    w, v = np.linalg.eigh(matcore.hermitian_part(mat))
     if w[-1] <= 0.0 or w[0] <= SINGULAR_EIG_RTOL * w[-1]:
         raise SingularIntermediate(
             f"{context}: eigenvalue {w[0]:.3e} below {SINGULAR_EIG_RTOL:g} of maximum "
             f"{w[-1]:.3e}; the input state is likely near rank deficiency "
             "(consider regularize=True)"
         )
+    return w, v
+
+
+def _inv_pd(mat: np.ndarray, context: str) -> np.ndarray:
+    """Inverse of a positive-definite matrix, floored as in ``_eig_pd``."""
+    w, v = _eig_pd(mat, context)
     return (v * (1.0 / w)) @ v.conj().T
 
 
-def _apply_t(phi: choimod.ChoiOperator, x: np.ndarray) -> np.ndarray:
-    """One application of T = inv o Phi* o inv o Phi."""
-    forward = _inv_pd(choimod.apply(phi, x), "forward image")
-    back = _inv_pd(choimod.apply_adjoint(phi, forward), "adjoint image")
-    return matcore.hermitian_part(back)
+def _apply_t(tensor: np.ndarray, conj_tensor: np.ndarray, x: np.ndarray):
+    """One application of T = inv o Phi* o inv o Phi to a positive-definite
+    ``x``, given the map's tensor view and its conjugate.
+
+    The maps use the expressions of ``choi.apply`` and ``choi.apply_adjoint``
+    without their input checks, which every matrix built here passes by
+    construction. Returns T(x) with the eigenpairs (w, v) of the adjoint
+    image Y, of which T(x) is the inverse.
+    """
+    forward = _inv_pd(np.einsum("ij,ikjl->kl", x, tensor), "forward image")
+    w, v = _eig_pd(np.einsum("ikjl,kl->ij", conj_tensor, forward), "adjoint image")
+    return matcore.hermitian_part((v * (1.0 / w)) @ v.conj().T), w, v
+
+
+def _step_to_inverse(x: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """Hilbert distance between a positive-definite ``x`` and the ray of
+    Y^{-1}, for Y = v diag(w) v*.
+
+    That is log(max/min) over the spectrum of Y^{1/2} x Y^{1/2}, which is
+    the spectrum of (v* x v) scaled entrywise by sqrt(w) sqrt(w)^T, so it
+    needs no factorization beyond the one Y already has.
+    """
+    s = np.sqrt(w)
+    ev = np.linalg.eigvalsh((v.conj().T @ x @ v) * (s[:, None] * s))
+    return math.log(ev[-1] / ev[0]) if ev[0] > 0.0 else math.inf
 
 
 def fixed_point_iterate(
@@ -141,8 +168,10 @@ def fixed_point_iterate(
     ``tol`` in the projective metric.
 
     Trace normalization is projectively inert; it only prevents float
-    overflow across iterations. ``lam`` is read off after convergence from
-    a single extra application of T to the trace-one fixed point.
+    overflow across iterations. The step between x and T(x) is read off the
+    eigenpairs T already computes for its last inverse. ``lam`` is read off
+    after convergence from a single extra application of T to the trace-one
+    fixed point.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -156,19 +185,20 @@ def fixed_point_iterate(
         if np.linalg.eigvalsh(x)[0] <= 0.0:
             raise ValueError("init must be positive definite")
         x = x / np.trace(x).real
+    tensor = phi.tensor_view()
+    conj_tensor = np.conj(tensor)
     steps: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        t = _apply_t(phi, x)
-        x_next = t / np.trace(t).real
-        step = pmetric.hilbert_distance(x_next, x)
+        t, w, v = _apply_t(tensor, conj_tensor, x)
+        step = _step_to_inverse(x, w, v)
         steps.append(step)
-        x = x_next
+        x = t / np.trace(t).real
         if step <= tol:
             converged = True
             break
-    lam = float(np.trace(_apply_t(phi, x)).real)
+    lam = float(np.trace(_apply_t(tensor, conj_tensor, x)[0]).real)
     return FixedPointReport(
         phi_ray=x,
         lam=lam,

@@ -231,6 +231,45 @@ class TestInternalErrors:
         assert "injected failure" in capsys.readouterr().err
 
 
+class TestSolverKnobs:
+    """Out-of-range solver settings are invalid input, from flags or a config file."""
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--tol", "0"], "tol"),
+            (["--tol", "-1"], "tol"),
+            (["--tol", "nan"], "tol"),
+            (["--tol", "inf"], "tol"),
+            (["--max-iter", "0"], "max_iter"),
+            (["--reg-eps", "0"], "reg_eps"),
+            (["--reg-eps", "1"], "reg_eps"),
+            (["--reg-eps", "nan"], "reg_eps"),
+            ({"marginal_tol": float("nan")}, "marginal_tol"),
+            ({"rank_tol": float("inf")}, "rank_tol"),
+            ({"tol": -1e-12}, "tol"),
+        ],
+        ids=[
+            "tol-0", "tol-negative", "tol-nan", "tol-inf", "max-iter-0", "reg-eps-0",
+            "reg-eps-1", "reg-eps-nan", "file-marginal-tol-nan", "file-rank-tol-inf",
+            "file-tol-negative",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["copula", "experiment"])
+    def test_invalid_knob_exits_3(self, tmp_path, capsys, command, flags, field):
+        if isinstance(flags, dict):
+            flags = ["--config", write_json(tmp_path / "cfg.json", flags)]
+        if command == "copula":
+            rho = states.random_full_rank_state(2, 2, 3)
+            argv = ["copula", write_state(tmp_path / "in.json", rho), *flags]
+        else:
+            argv = ["experiment", "convergence", "--count", "1", *flags]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert f"config: {field} " in captured.err
+        assert captured.out == ""
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_3(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -82,8 +82,43 @@ class TestFixedPointIterate:
     def test_singular_intermediate(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = 1.0  # map sends the identity to a singular matrix
-        with pytest.raises(SingularIntermediate):
+        with pytest.raises(SingularIntermediate, match="forward image"):
             copula.fixed_point_iterate(choi.ChoiOperator(mat, 2, 2))
+
+    def test_singular_adjoint_image(self):
+        # Phi(I/2) = 1/2 is invertible, but Phi*(2) = diag(2, 0) is not
+        phi = choi.ChoiOperator(np.diag([1.0, 0.0]), 2, 1)
+        with pytest.raises(SingularIntermediate, match="adjoint image: eigenvalue 0.000e"):
+            copula.fixed_point_iterate(phi)
+
+    @pytest.mark.parametrize(
+        "dims, floor, seed",
+        [((2, 2), None, 154), ((3, 3), 1e-3, 0), ((3, 3), 1e-4, 1), ((3, 3), 1e-6, 2)],
+    )
+    def test_step_history_is_hilbert_distance_of_rays(self, dims, floor, seed):
+        # The loop reads its step off the adjoint image's eigenpairs; pin it
+        # to the public metric on the iterates themselves, including states
+        # near the boundary of the cone.
+        n, m = dims
+        rho = states.random_full_rank_state(n, m, seed)
+        if floor is not None:
+            w, v = np.linalg.eigh(rho.mat)
+            base = (v * (w - w[0])) @ v.conj().T
+            base /= np.trace(base).real
+            rho = states.DensityMatrix((1.0 - n * m * floor) * base + floor * np.eye(n * m), n, m)
+            assert rho.eig_range[0] == pytest.approx(floor, rel=1e-6)
+        phi = choi.choi_from_state(rho)
+        report = copula.fixed_point_iterate(phi)
+        assert report.converged
+        assert report.step_history[-1] <= 1e-12
+        assert report.final_step == report.step_history[-1]
+        total = report.iterations
+        # every step on short runs; on the long seed-154 tail every tenth and the last
+        checked = range(total) if total <= 60 else sorted({*range(0, total, 10), total - 1})
+        for k in checked:
+            before = copula.fixed_point_iterate(phi, max_iter=k).phi_ray
+            after = copula.fixed_point_iterate(phi, max_iter=k + 1).phi_ray
+            assert abs(report.step_history[k] - pmetric.hilbert_distance(after, before)) <= 1e-12
 
     def test_rejects_indefinite_init(self):
         phi = choi.choi_from_state(maximally_mixed(2, 2))
