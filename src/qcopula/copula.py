@@ -85,6 +85,7 @@ class FixedPointReport:
     final_step: float  # projective distance between the last two iterates
     converged: bool
     step_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    tol: float = 1e-12  # stopping tolerance of the run; sets the verification bounds
 
 
 @dataclass
@@ -206,6 +207,7 @@ def fixed_point_iterate(
         final_step=steps[-1] if steps else 0.0,
         converged=converged,
         step_history=np.asarray(steps),
+        tol=tol,
     )
 
 
@@ -232,7 +234,8 @@ def extract_scalers(
     """Build (phi0, phi1) from the fixed ray and factor them.
 
     phi1 = (1/m) (Phi(phi_ray))^{-1} and phi0 = n Phi*(phi1); both defining
-    equations are re-checked at 1e-9 relative before returning.
+    equations are re-checked before returning, at the run's stopping
+    tolerance or 1e-9 relative, whichever is looser.
     """
     if not report.converged:
         raise NotConverged("scaling matrices require a converged fixed point", report=report)
@@ -240,9 +243,10 @@ def extract_scalers(
     phi1 = matcore.hermitian_part(_inv_pd(choimod.apply(phi, report.phi_ray), "forward image") / m)
     phi0 = matcore.hermitian_part(n * choimod.apply_adjoint(phi, phi1))
     res1, res2 = scaling_equation_residuals(phi, phi0, phi1)
-    if res1 > SCALING_EQ_RTOL or res2 > SCALING_EQ_RTOL:
+    bound = max(SCALING_EQ_RTOL, report.tol)
+    if res1 > bound or res2 > bound:
         raise VerificationFailed(
-            f"scaling equations missed {SCALING_EQ_RTOL:g} relative: "
+            f"scaling equations missed {bound:g} relative: "
             f"forward {res1:.3e}, adjoint {res2:.3e}"
         )
     psi0 = matcore.cholesky_like_factor(phi0, factorization)
@@ -277,7 +281,7 @@ def copula_of(
     if cfg.regularize:
         eps = cfg.reg_eps
         mixed = (1.0 - eps) * rho.mat + eps * np.eye(rho.dim) / rho.dim
-        work = states.DensityMatrix(matcore.hermitian_part(mixed), n, m)
+        work = states.DensityMatrix(matcore.hermitian_part(mixed), n, m, _cholesky=True)
         regularized = True
     else:
         lo, hi = rho.eig_range
@@ -300,12 +304,15 @@ def copula_of(
     left = matcore.kron(np.linalg.inv(scalers.psi0).T, scalers.psi1)
     raw = matcore.hermitian_part(left @ work.mat @ left.conj().T)
     raw /= np.trace(raw).real
-    chi = states.DensityMatrix(raw, n, m)
+    # chi is congruent to the checked state by an invertible matrix, so it is
+    # positive definite (Sylvester's law of inertia); Cholesky confirms it.
+    chi = states.DensityMatrix(raw, n, m, _cholesky=True)
     residual = max(states.marginal_residuals(chi))
-    if residual > cfg.marginal_tol:
+    marginal_bound = max(cfg.marginal_tol, report.tol)
+    if residual > marginal_bound:
         raise PrecopulaCheckFailed(
             f"converged run produced marginal residual {residual:.3e} "
-            f"> {cfg.marginal_tol:g}; this indicates a bug"
+            f"> {marginal_bound:g}; this indicates a bug"
         )
     return CopulaResult(
         chi=chi,

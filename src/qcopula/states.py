@@ -8,7 +8,8 @@ the first tensor factor has dimension n and varies slowest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -34,16 +35,24 @@ class DensityMatrix:
     """Hermitian, PSD, trace-one matrix with bipartite dimension metadata.
 
     ``mat`` is a read-only copy of the input, so ``eig_range``, the smallest
-    and largest eigenvalue found by the PSD check, stays valid for the
-    object's lifetime.
+    and largest eigenvalue of its Hermitian part, stays valid for the
+    object's lifetime. The PSD check is an ``eigvalsh`` floor and records
+    ``eig_range``.
+
+    ``_cholesky=True`` is for the states ``copula_of`` builds from a state
+    already checked, by a congruence or a mixture with the identity. These
+    are positive definite by construction, and a Cholesky factorization of
+    the Hermitian part proves it. Only where that fails does the
+    ``eigvalsh`` floor decide, so the verdict is the same on either route;
+    ``eig_range`` is then computed on first read.
     """
 
     mat: np.ndarray
     dim_a: int
     dim_b: int
-    eig_range: tuple[float, float] = field(init=False, repr=False)
+    _cholesky: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _cholesky):
         n, m = int(self.dim_a), int(self.dim_b)
         if n < 1 or m < 1:
             raise InvalidInput("dims: factor dimensions must be positive integers")
@@ -57,15 +66,22 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > STATE_TRACE_ATOL:
             raise InvalidInput(f"trace: expected 1 within {STATE_TRACE_ATOL:g}, got {tr.real:.12g}")
-        w = np.linalg.eigvalsh(h)
-        lo = float(w[0])
-        if lo < STATE_EIG_FLOOR:
-            raise NotPSD(f"PSD: minimum eigenvalue {lo:.3e} below {STATE_EIG_FLOOR:g}")
+        if not (_cholesky and _cholesky_succeeds(h)):
+            w = np.linalg.eigvalsh(h)
+            lo = float(w[0])
+            if lo < STATE_EIG_FLOOR:
+                raise NotPSD(f"PSD: minimum eigenvalue {lo:.3e} below {STATE_EIG_FLOOR:g}")
+            object.__setattr__(self, "eig_range", (lo, float(w[-1])))
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dim_a", n)
         object.__setattr__(self, "dim_b", m)
-        object.__setattr__(self, "eig_range", (lo, float(w[-1])))
+
+    @functools.cached_property
+    def eig_range(self) -> tuple[float, float]:
+        """Smallest and largest eigenvalue of the Hermitian part of ``mat``."""
+        w = np.linalg.eigvalsh(matcore.hermitian_part(self.mat))
+        return float(w[0]), float(w[-1])
 
     @property
     def dim(self) -> int:
@@ -73,6 +89,16 @@ class DensityMatrix:
 
     def tensor_view(self) -> np.ndarray:
         return self.mat.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+
+
+def _cholesky_succeeds(h: np.ndarray) -> bool:
+    """True iff ``h`` has a Cholesky factorization, which proves it
+    positive definite up to rounding of order d * eps * ||h||."""
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

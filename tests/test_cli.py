@@ -269,6 +269,13 @@ class TestSolverKnobs:
         assert f"config: {field} " in captured.err
         assert captured.out == ""
 
+    def test_loose_tol_verifies(self, tmp_path):
+        rho = states.random_full_rank_state(2, 2, 3)
+        out = tmp_path / "out.json"
+        argv = ["copula", write_state(tmp_path / "in.json", rho), "--tol", "1e-6"]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["result"]["converged"] is True
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_3(self, tmp_path):

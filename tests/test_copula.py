@@ -266,6 +266,35 @@ class TestCopulaOf:
         assert err.value.report is not None
         assert not err.value.report.converged
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_verification_bounds_follow_tol(self, dims, tol):
+        # A loose stopping tolerance loosens the scaling-equation and
+        # marginal checks with it instead of failing them.
+        cfg = copula.SolverConfig(tol=tol)
+        for seed in range(20):
+            result = copula.copula_of(states.random_full_rank_state(*dims, seed), cfg)
+            assert result.report.tol == tol
+            assert max(result.scalers.residual_forward, result.scalers.residual_adjoint) <= tol
+            assert result.marginal_residual <= tol
+
+    def test_no_full_size_eigendecomposition(self, monkeypatch):
+        # The input's own check ran at construction; copula_of decomposes
+        # only n x n and m x m matrices and proves chi positive by Cholesky.
+        rho = states.random_full_rank_state(2, 3, 0)
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        copula.copula_of(rho)
+        assert shapes
+        assert set(shapes) <= {(2, 2), (3, 3)}
+
     def test_factorization_choices_agree_on_invariants(self):
         for seed in range(5):
             rho = states.random_full_rank_state(2, 2, seed)

@@ -21,6 +21,15 @@ def product_state(rng, n, m):
     return states.DensityMatrix(np.kron(f1, f2), n, m), f1, f2
 
 
+# (factor of the bound, accepted, through the private Cholesky route)
+EDGE_CASES = [
+    pytest.param(0.9, True, False, id="0.9-True"),
+    pytest.param(1.1, False, False, id="1.1-False"),
+    pytest.param(0.9, True, True, id="0.9-True-cholesky"),
+    pytest.param(1.1, False, True, id="1.1-False-cholesky"),
+]
+
+
 class TestDensityMatrix:
     def test_valid_construction(self):
         rho = states.DensityMatrix(np.eye(4) / 4, 2, 2)
@@ -46,41 +55,56 @@ class TestDensityMatrix:
 
     # Tolerance edges: 1e-10 relative Hermitian defect, 1e-10 trace,
     # eigenvalue floor -1e-10. Each pair sits at 0.9x and 1.1x the bound.
-    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
-    def test_hermitian_edge(self, factor, ok):
+    # The private Cholesky route (states the solver builds) gives the same
+    # verdicts: below the floor edge its factorization fails and the
+    # eigenvalue floor decides.
+    @pytest.mark.parametrize("factor, ok, cholesky", EDGE_CASES)
+    def test_hermitian_edge(self, factor, ok, cholesky):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = factor * 1e-10 * 0.25  # defect against scale 0.25
         if ok:
-            states.DensityMatrix(mat, 2, 2)
+            states.DensityMatrix(mat, 2, 2, _cholesky=cholesky)
         else:
             with pytest.raises(NotHermitian):
-                states.DensityMatrix(mat, 2, 2)
+                states.DensityMatrix(mat, 2, 2, _cholesky=cholesky)
 
-    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
-    def test_trace_edge(self, factor, ok):
+    @pytest.mark.parametrize("factor, ok, cholesky", EDGE_CASES)
+    def test_trace_edge(self, factor, ok, cholesky):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 0] += factor * 1e-10
         if ok:
-            states.DensityMatrix(mat, 2, 2)
+            states.DensityMatrix(mat, 2, 2, _cholesky=cholesky)
         else:
             with pytest.raises(InvalidInput, match="trace"):
-                states.DensityMatrix(mat, 2, 2)
+                states.DensityMatrix(mat, 2, 2, _cholesky=cholesky)
 
-    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
-    def test_eigenvalue_floor_edge(self, factor, ok):
+    @pytest.mark.parametrize("factor, ok, cholesky", EDGE_CASES)
+    def test_eigenvalue_floor_edge(self, factor, ok, cholesky):
         e = factor * 1e-10
         mat = np.diag([0.5, 0.3, 0.2 + e, -e]).astype(complex)
         if ok:
-            states.DensityMatrix(mat, 2, 2)
+            states.DensityMatrix(mat, 2, 2, _cholesky=cholesky)
         else:
             with pytest.raises(NotPSD):
-                states.DensityMatrix(mat, 2, 2)
+                states.DensityMatrix(mat, 2, 2, _cholesky=cholesky)
 
     def test_records_eigenvalue_range(self):
         for seed, (n, m) in enumerate([(1, 1), (2, 2), (2, 3), (4, 4)]):
             rho = states.random_full_rank_state(n, m, seed)
             w = np.linalg.eigvalsh(rho.mat)
-            assert rho.eig_range == (w[0], w[-1])
+            assert vars(rho)["eig_range"] == (w[0], w[-1])
+            # Through the Cholesky route the range is computed on first read.
+            # A defect well inside the Hermitian tolerance shows that it is
+            # the spectrum of the Hermitian part.
+            mat = rho.mat + 1e-13 * np.triu(np.ones((n * m, n * m)), 1)
+            lazy = states.DensityMatrix(mat, n, m, _cholesky=True)
+            assert "eig_range" not in vars(lazy)
+            w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+            assert lazy.eig_range == (w[0], w[-1])
+
+    def test_cholesky_route_falls_back_on_rank_deficiency(self):
+        rho = states.DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]), 2, 2, _cholesky=True)
+        assert vars(rho)["eig_range"] == (0.0, 0.5)
 
     def test_matrix_is_read_only_copy(self):
         src = np.eye(4, dtype=complex) / 4
