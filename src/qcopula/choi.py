@@ -7,7 +7,7 @@ are the same array read two ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,28 +19,44 @@ CONDITION_CAP = 1e12
 POSITIVITY_PROBE_RTOL = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ChoiOperator:
-    """A linear map M(dim_in) -> M(dim_out) stored via its Choi matrix."""
+    """A linear map M(dim_in) -> M(dim_out) stored via its Choi matrix.
+
+    ``choi`` is a read-only copy of the input. Construction also stores the
+    realigned (n^2, m^2) matrix R with R[(i,j), (k,l)] = choi[(i,k), (j,l)],
+    the map's matrix on row-major vectorizations, so Phi(X) = vec(X) R and
+    Phi*(Y) = conj(R) vec(Y) are one matrix product each.
+    """
 
     choi: np.ndarray
     dim_in: int
     dim_out: int
+    _realigned: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.choi = matcore.as_cmatrix(self.choi)
-        d = self.dim_in * self.dim_out
-        if self.choi.shape != (d, d):
-            raise ShapeMismatch(
-                f"Choi matrix has shape {self.choi.shape}, expected ({d}, {d})"
-            )
+        choi = matcore.as_cmatrix(self.choi)
+        n, m = self.dim_in, self.dim_out
+        if choi.shape != (n * m, n * m):
+            raise ShapeMismatch(f"Choi matrix has shape {choi.shape}, expected ({n * m}, {n * m})")
+        choi.flags.writeable = False
+        realigned = choi.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+        realigned.flags.writeable = False
+        object.__setattr__(self, "choi", choi)
+        object.__setattr__(self, "_realigned", realigned)
 
     def tensor_view(self) -> np.ndarray:
         return self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """The m x m block Phi(E_ij)."""
-        return self.tensor_view()[i, :, j, :]
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """Phi(X) for an n x n complex array, unchecked."""
+        return (x.reshape(-1) @ self._realigned).reshape(self.dim_out, self.dim_out)
+
+    def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Phi*(Y) for an m x m complex array, unchecked; conj(R) vec(Y) is
+        computed as conj(R conj(vec(Y))) so R is never conjugated whole."""
+        out = self._realigned @ np.conj(y.reshape(-1))
+        return np.conj(out).reshape(self.dim_in, self.dim_in)
 
 
 def choi_from_state(rho: DensityMatrix) -> ChoiOperator:
@@ -62,12 +78,12 @@ def choi_from_map(fn, n: int, m: int) -> ChoiOperator:
 
 
 def apply(phi: ChoiOperator, x) -> np.ndarray:
-    """Phi(X) = sum_ij X[i,j] * block_ij; returns an m x m matrix."""
+    """Phi(X) = sum_ij X[i,j] Phi(E_ij); returns an m x m matrix."""
     xm = matcore.as_cmatrix(x)
     n = phi.dim_in
     if xm.shape != (n, n):
         raise ShapeMismatch(f"input has shape {xm.shape}, expected ({n}, {n})")
-    return np.einsum("ij,ikjl->kl", xm, phi.tensor_view())
+    return phi._apply(xm)
 
 
 def apply_via_partial_trace(phi: ChoiOperator, x) -> np.ndarray:
@@ -81,13 +97,13 @@ def apply_via_partial_trace(phi: ChoiOperator, x) -> np.ndarray:
 
 
 def apply_adjoint(phi: ChoiOperator, y) -> np.ndarray:
-    """Hilbert-Schmidt adjoint: Phi*(Y)[i,j] = Tr(block_ij* Y), the unique
+    """Hilbert-Schmidt adjoint: Phi*(Y)[i,j] = Tr(Phi(E_ij)* Y), the unique
     map satisfying <Phi(X), Y> = <X, Phi*(Y)>."""
     ym = matcore.as_cmatrix(y)
     m = phi.dim_out
     if ym.shape != (m, m):
         raise ShapeMismatch(f"input has shape {ym.shape}, expected ({m}, {m})")
-    return np.einsum("ikjl,kl->ij", np.conj(phi.tensor_view()), ym)
+    return phi._apply_adjoint(ym)
 
 
 def adjoint(phi: ChoiOperator) -> ChoiOperator:

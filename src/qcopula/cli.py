@@ -24,7 +24,6 @@ from . import jsonio, pmetric, sinkhorn, states
 from .choi import choi_from_state
 from .copula import SolverConfig
 from .errors import (
-    InvalidInput,
     NotConverged,
     PrecopulaCheckFailed,
     QcopulaError,
@@ -97,15 +96,7 @@ def _resolve_config(args) -> SolverConfig:
         cfg.regularize = args.regularize
     if getattr(args, "reg_eps", None) is not None:
         cfg.reg_eps = args.reg_eps
-    for name in ("tol", "marginal_tol", "rank_tol"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise InvalidInput(f"config: {name} must be finite, got {getattr(cfg, name)!r}")
-    if cfg.tol <= 0.0:
-        raise InvalidInput(f"config: tol must be positive, got {cfg.tol!r}")
-    if cfg.max_iter < 1:
-        raise InvalidInput(f"config: max_iter must be at least 1, got {cfg.max_iter!r}")
-    if not 0.0 < cfg.reg_eps < 1.0:
-        raise InvalidInput(f"config: reg_eps must be in (0, 1), got {cfg.reg_eps!r}")
+    cfg._check_ranges()
     return cfg
 
 
@@ -244,7 +235,7 @@ def _suite_lambda(seed, count, dims, cfg):
             "lambda": result.report.lam,
             "lambda_error": err,
             "iterations": result.report.iterations,
-            "pass": bool(err <= 1e-8),
+            "pass": bool(err <= max(1e-8, cfg.tol)),
         }
 
     return one, lambda recs: {

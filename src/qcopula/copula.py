@@ -74,6 +74,18 @@ class SolverConfig:
                 setattr(cfg, key, float(value))
         return cfg
 
+    def _check_ranges(self) -> None:
+        """Raise ``InvalidInput`` naming the first setting out of range."""
+        for name in ("tol", "marginal_tol", "rank_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInput(f"config: {name} must be finite, got {getattr(self, name)!r}")
+        if self.tol <= 0.0:
+            raise InvalidInput(f"config: tol must be positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise InvalidInput(f"config: max_iter must be at least 1, got {self.max_iter!r}")
+        if not 0.0 < self.reg_eps < 1.0:
+            raise InvalidInput(f"config: reg_eps must be in (0, 1), got {self.reg_eps!r}")
+
 
 @dataclass
 class FixedPointReport:
@@ -113,10 +125,10 @@ class CopulaResult:
 
 
 def _eig_pd(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, v) of the Hermitian part of a positive-definite matrix;
-    eigenvalues below the relative floor signal a near-rank-deficient input
-    upstream."""
-    w, v = np.linalg.eigh(matcore.hermitian_part(mat))
+    """Eigenpairs (w, v) of a Hermitian positive-definite matrix, read from
+    its lower triangle as ``eigh`` does; eigenvalues below the relative
+    floor signal a near-rank-deficient input upstream."""
+    w, v = np.linalg.eigh(mat)
     if w[-1] <= 0.0 or w[0] <= SINGULAR_EIG_RTOL * w[-1]:
         raise SingularIntermediate(
             f"{context}: eigenvalue {w[0]:.3e} below {SINGULAR_EIG_RTOL:g} of maximum "
@@ -132,18 +144,20 @@ def _inv_pd(mat: np.ndarray, context: str) -> np.ndarray:
     return (v * (1.0 / w)) @ v.conj().T
 
 
-def _apply_t(tensor: np.ndarray, conj_tensor: np.ndarray, x: np.ndarray):
+def _apply_t(phi: choimod.ChoiOperator, x: np.ndarray):
     """One application of T = inv o Phi* o inv o Phi to a positive-definite
-    ``x``, given the map's tensor view and its conjugate.
+    ``x``.
 
-    The maps use the expressions of ``choi.apply`` and ``choi.apply_adjoint``
-    without their input checks, which every matrix built here passes by
+    The maps skip the input checks of ``choi.apply`` and
+    ``choi.apply_adjoint``, which every matrix built here passes by
     construction. Returns T(x) with the eigenpairs (w, v) of the adjoint
-    image Y, of which T(x) is the inverse.
+    image Y, of which T(x) is the inverse. Nothing is symmetrized:
+    ``eigh`` reads only the lower triangle, so the rounding-level asymmetry
+    of its inputs does not reach the eigenpairs.
     """
-    forward = _inv_pd(np.einsum("ij,ikjl->kl", x, tensor), "forward image")
-    w, v = _eig_pd(np.einsum("ikjl,kl->ij", conj_tensor, forward), "adjoint image")
-    return matcore.hermitian_part((v * (1.0 / w)) @ v.conj().T), w, v
+    forward = _inv_pd(phi._apply(x), "forward image")
+    w, v = _eig_pd(phi._apply_adjoint(forward), "adjoint image")
+    return (v * (1.0 / w)) @ v.conj().T, w, v
 
 
 def _step_to_inverse(x: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
@@ -186,20 +200,19 @@ def fixed_point_iterate(
         if np.linalg.eigvalsh(x)[0] <= 0.0:
             raise ValueError("init must be positive definite")
         x = x / np.trace(x).real
-    tensor = phi.tensor_view()
-    conj_tensor = np.conj(tensor)
     steps: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        t, w, v = _apply_t(tensor, conj_tensor, x)
+        t, w, v = _apply_t(phi, x)
         step = _step_to_inverse(x, w, v)
         steps.append(step)
         x = t / np.trace(t).real
         if step <= tol:
             converged = True
             break
-    lam = float(np.trace(_apply_t(tensor, conj_tensor, x)[0]).real)
+    x = matcore.hermitian_part(x)
+    lam = float(np.trace(_apply_t(phi, x)[0]).real)
     return FixedPointReport(
         phi_ray=x,
         lam=lam,
@@ -240,8 +253,8 @@ def extract_scalers(
     if not report.converged:
         raise NotConverged("scaling matrices require a converged fixed point", report=report)
     n, m = phi.dim_in, phi.dim_out
-    phi1 = matcore.hermitian_part(_inv_pd(choimod.apply(phi, report.phi_ray), "forward image") / m)
-    phi0 = matcore.hermitian_part(n * choimod.apply_adjoint(phi, phi1))
+    phi1 = matcore.hermitian_part(_inv_pd(phi._apply(report.phi_ray), "forward image") / m)
+    phi0 = matcore.hermitian_part(n * phi._apply_adjoint(phi1))
     res1, res2 = scaling_equation_residuals(phi, phi0, phi1)
     bound = max(SCALING_EQ_RTOL, report.tol)
     if res1 > bound or res2 > bound:
@@ -272,9 +285,10 @@ def copula_of(
 
     Requires a full-rank input; with ``cfg.regularize`` the state is first
     mixed with eps * I/(nm) and the result is (explicitly) the copula of
-    the perturbed state.
+    the perturbed state. Settings out of range raise ``InvalidInput``.
     """
     cfg = SolverConfig() if cfg is None else cfg
+    cfg._check_ranges()
     n, m = rho.dim_a, rho.dim_b
     work = rho
     regularized = False
@@ -301,7 +315,7 @@ def copula_of(
     scalers = extract_scalers(phi, report, factorization)
     # Entrywise (non-conjugate) transpose on the first factor; conjugating
     # here breaks marginal uniformity for complex-valued states.
-    left = matcore.kron(np.linalg.inv(scalers.psi0).T, scalers.psi1)
+    left = np.kron(np.linalg.inv(scalers.psi0).T, scalers.psi1)
     raw = matcore.hermitian_part(left @ work.mat @ left.conj().T)
     raw /= np.trace(raw).real
     # chi is congruent to the checked state by an invertible matrix, so it is

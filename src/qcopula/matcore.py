@@ -7,7 +7,6 @@ unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from .errors import NonFinite, NotHermitian, NotPositiveDefinite, ShapeMismatch
 
 HERMITIAN_RTOL = 1e-10
 PD_EIG_RTOL = 1e-12
-_PHASE_TOL = 1e-12
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -67,55 +65,22 @@ def require_hermitian(
     return hermitian_part(m)
 
 
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component of each column real and positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_TOL)
-        if nz.size:
-            ph = col[nz[0]]
-            v[:, j] = col * (abs(ph) / ph)
-    return v
-
-
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Ascending eigenvalues and phase-fixed unitary column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(a) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases."""
-    h = require_hermitian(a)
-    w, v = np.linalg.eigh(h)
-    return HermitianSpectrum(w, _fix_column_phases(v))
-
-
 def cholesky_like_factor(a, method: str = "sqrt") -> np.ndarray:
     """Factor a positive-definite ``a`` as psi* psi = a.
 
-    ``method="sqrt"`` returns the Hermitian square root (the canonical
-    choice, reproducible across runs); ``method="cholesky"`` returns the
-    upper-triangular conjugate of the Cholesky factor. Either satisfies
-    the factorization contract.
+    ``method="sqrt"`` returns the Hermitian square root V diag(sqrt w) V*
+    (the canonical choice; it does not depend on the eigenvectors' phases);
+    ``method="cholesky"`` returns the upper-triangular conjugate of the
+    Cholesky factor. Either satisfies the factorization contract.
     """
-    spectrum = eig_hermitian(a)
-    w = spectrum.eigenvalues
+    h = require_hermitian(a)
+    w, v = np.linalg.eigh(h)
     if w[-1] <= 0.0 or w[0] <= PD_EIG_RTOL * w[-1]:
         raise NotPositiveDefinite(
             f"matrix is not positive definite: eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
         )
     if method == "sqrt":
-        return (spectrum.eigenvectors * np.sqrt(w)) @ spectrum.eigenvectors.conj().T
+        return (v * np.sqrt(w)) @ v.conj().T
     if method == "cholesky":
-        lower = np.linalg.cholesky(hermitian_part(as_cmatrix(a)))
-        return lower.conj().T
+        return np.linalg.cholesky(h).conj().T
     raise ValueError(f"unknown factorization method {method!r}")
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with (A o B)[(i p + k), (j q + l)] = A[i,j] B[k,l]."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))

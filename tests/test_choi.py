@@ -1,5 +1,7 @@
 """Tests for the Choi-matrix map representation and its transforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,16 @@ class TestChoiFromState:
         for i in range(2):
             for j in range(2):
                 expected = np.eye(2) / 4 if i == j else np.zeros((2, 2))
-                np.testing.assert_array_equal(phi.block(i, j), expected)
+                np.testing.assert_array_equal(phi.tensor_view()[i, :, j, :], expected)
+
+    def test_choi_is_read_only(self):
+        # The map's products use a matrix stored at construction, so the
+        # Choi matrix must not change afterwards.
+        phi = choi.choi_from_state(states.DensityMatrix(np.eye(4) / 4, 2, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            phi.choi = np.zeros((4, 4))
+        with pytest.raises(ValueError):
+            phi.choi[0, 0] = 1.0
 
     def test_maximally_mixed_is_trace_map(self):
         phi = choi.choi_from_state(states.DensityMatrix(np.eye(4) / 4, 2, 2))

@@ -171,6 +171,15 @@ class TestExperimentCommand:
         assert doc["aggregates"]["max_lambda_error"] <= 1e-8
         assert len(doc["cases"]) == 50
 
+    def test_lambda_bound_follows_tol(self, tmp_path):
+        # |lambda - n/m| is judged at max(1e-8, tol), so a loose tol passes.
+        out = tmp_path / "out.json"
+        code = cli.main(
+            ["experiment", "lambda", "--count", "20", "--tol", "1e-6", "--output", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["aggregates"]["max_lambda_error"] <= 1e-6
+
     def test_convergence_suite(self, tmp_path):
         out = tmp_path / "out.json"
         code = cli.main(

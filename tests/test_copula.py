@@ -5,6 +5,7 @@ import pytest
 
 from qcopula import choi, copula, pmetric, states
 from qcopula.errors import (
+    InvalidInput,
     NotConverged,
     NotPrecopula,
     RankDeficient,
@@ -265,6 +266,22 @@ class TestCopulaOf:
             copula.copula_of(states.random_full_rank_state(2, 2, 6), cfg)
         assert err.value.report is not None
         assert not err.value.report.converged
+
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ({"regularize": True, "reg_eps": 1.5}, "reg_eps"),
+            ({"max_iter": 0}, "max_iter"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+        ],
+        ids=["reg-eps-1.5", "max-iter-0", "tol-0", "tol-nan"],
+    )
+    def test_out_of_range_settings_are_invalid_input(self, settings, field):
+        rho = states.random_full_rank_state(2, 2, 0)
+        cfg = copula.SolverConfig(**settings)
+        with pytest.raises(InvalidInput, match=f"config: {field} "):
+            copula.copula_of(rho, cfg)
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
