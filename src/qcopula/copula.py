@@ -34,6 +34,7 @@ from .errors import (
 SINGULAR_EIG_RTOL = 1e-14
 SCALING_EQ_RTOL = 1e-9
 PRECOPULA_TOL = 1e-8
+ANDERSON_MEMORY = 4  # differences the fixed-point extrapolation keeps
 
 _CONFIG_FIELDS = ("tol", "marginal_tol", "max_iter", "rank_tol", "regularize", "reg_eps")
 
@@ -98,6 +99,7 @@ class FixedPointReport:
     converged: bool
     step_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
     tol: float = 1e-12  # stopping tolerance of the run; sets the verification bounds
+    restarts: int = 0  # Anderson extrapolants rejected for the plain step
 
 
 @dataclass
@@ -179,17 +181,28 @@ def fixed_point_iterate(
     max_iter: int = 1000,
     init=None,
 ) -> FixedPointReport:
-    """Iterate x -> T(x)/Tr T(x) until successive iterates are within
-    ``tol`` in the projective metric.
+    """Find the fixed ray of T by safeguarded Anderson acceleration of
+    x -> T(x)/Tr T(x), stopping once an iterate x is within ``tol`` of
+    T(x) in the projective metric.
 
-    Trace normalization is projectively inert; it only prevents float
-    overflow across iterations. The step between x and T(x) is read off the
-    eigenpairs T already computes for its last inverse. ``lam`` is read off
-    after convergence from a single extra application of T to the trace-one
-    fixed point.
+    Each step applies T to the trace-one iterate x_k, giving the plain image
+    g_k = T(x_k)/Tr T(x_k); the step d(T(x_k), x_k) is read off the
+    eigenpairs T already computes for its last inverse. The next iterate
+    mixes g_k with the last ``ANDERSON_MEMORY`` (at most n^2 - 1)
+    differences of the images and of the residuals f = g - x (type-II
+    Anderson on the real view of the matrices). An extrapolant that is not finite or not positive definite
+    at the ``SINGULAR_EIG_RTOL`` floor, or a singular least-squares system,
+    clears the memory and the plain step x_{k+1} = g_k is taken instead;
+    ``restarts`` counts these. The stopping rule is the plain contraction's,
+    so the returned ray is the plain image g_k of a converged run. On a run
+    that does not converge, ``phi_ray`` is the iterate the next step would
+    have started from. ``lam`` is read off from a single extra application
+    of T to the trace-one ray.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     n = phi.dim_in
     if init is None:
         x = np.eye(n, dtype=np.complex128) / n
@@ -200,27 +213,64 @@ def fixed_point_iterate(
         if np.linalg.eigvalsh(x)[0] <= 0.0:
             raise ValueError("init must be positive definite")
         x = x / np.trace(x).real
+    # Differences of trace-one Hermitian matrices span n^2 - 1 real
+    # dimensions, so more rows than that would make the Gram system singular
+    # by construction. Rows [:stored] hold the latest differences of g and of
+    # f = g - x (Delta g = Delta x + Delta f), filled in order and then
+    # overwritten oldest first from ``head``.
+    memory = min(ANDERSON_MEMORY, max(n * n - 1, 1))
+    dg = np.empty((memory, 2 * n * n))
+    df = np.empty_like(dg)
+    stored = head = restarts = 0
+    g_prev = f_prev = None
     steps: list[float] = []
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         t, w, v = _apply_t(phi, x)
         step = _step_to_inverse(x, w, v)
         steps.append(step)
-        x = t / np.trace(t).real
+        g = t / np.trace(t).real
         if step <= tol:
             converged = True
+            x = g
             break
+        g_real = g.view(np.float64).reshape(-1)
+        f = g_real - x.view(np.float64).reshape(-1)
+        x = g
+        if f_prev is not None:
+            row = stored if stored < memory else head
+            np.subtract(g_real, g_prev, out=dg[row])
+            np.subtract(f, f_prev, out=df[row])
+            if stored < memory:
+                stored += 1
+            else:
+                head = (head + 1) % memory
+            dfs = df[:stored]
+            ev = None
+            try:
+                gamma = np.linalg.solve(dfs @ dfs.T, dfs @ f)
+                candidate = (g_real - gamma @ dg[:stored]).view(np.complex128).reshape(n, n)
+                if np.isfinite(candidate).all():
+                    ev = np.linalg.eigvalsh(candidate)
+            except np.linalg.LinAlgError:
+                pass
+            if ev is not None and ev[0] > SINGULAR_EIG_RTOL * ev[-1]:
+                x = candidate
+            else:
+                restarts += 1
+                stored = head = 0
+        g_prev, f_prev = g_real, f
     x = matcore.hermitian_part(x)
     lam = float(np.trace(_apply_t(phi, x)[0]).real)
     return FixedPointReport(
         phi_ray=x,
         lam=lam,
         iterations=iterations,
-        final_step=steps[-1] if steps else 0.0,
+        final_step=steps[-1],
         converged=converged,
         step_history=np.asarray(steps),
         tol=tol,
+        restarts=restarts,
     )
 
 

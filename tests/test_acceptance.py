@@ -126,22 +126,30 @@ def test_criterion_06_separability_preservation(separability_runs):
 
 
 def test_criterion_07_convergence_speed():
-    # the documented convergence-suite invocation: seed 1, count 100;
-    # states within ~1e-3 of the boundary can exceed 200 iterations
-    # (contraction ratio tends to one there), at ~1% ensemble frequency
-    iterations = []
+    # seeds 0..199 at each batch dims, including the (2,2) seed 154 that the
+    # unaccelerated contraction needed 268 iterations for; the Anderson
+    # safeguard never fires on these states
+    details = []
+    ok = True
     start = time.perf_counter()
-    for i in range(100):
-        rho = states.random_full_rank_state(2, 2, 1 + i)
-        result = copula.copula_of(rho, copula.SolverConfig(tol=1e-12))
-        iterations.append(result.report.iterations)
+    for n, m in BATCH_DIMS:
+        iterations = []
+        restarts = 0
+        for seed in range(BATCH_COUNT):
+            rho = states.random_full_rank_state(n, m, seed)
+            result = copula.copula_of(rho, copula.SolverConfig(tol=1e-12))
+            iterations.append(result.report.iterations)
+            restarts += result.report.restarts
+        iterations.sort()
+        worst = iterations[-1]
+        median = iterations[len(iterations) // 2]
+        ok &= worst < 50 and median < 20 and restarts == 0
+        details.append(f"({n},{m}) max {worst} median {median} restarts {restarts}")
     elapsed = time.perf_counter() - start
-    iterations.sort()
-    worst = iterations[-1]
-    median = iterations[len(iterations) // 2]
-    ok = worst < 200 and median < 50 and elapsed < 60.0
+    ok &= elapsed < 60.0
     report(7, "convergence speed", ok,
-           f"(max {worst} < 200, median {median} < 50, wall {elapsed:.1f}s < 60s)")
+           f"({'; '.join(details)}; bounds max < 50, median < 20, no restarts; "
+           f"wall {elapsed:.1f}s < 60s)")
 
 
 def test_criterion_08_metric_axioms():

@@ -190,6 +190,16 @@ class TestExperimentCommand:
         assert doc["aggregates"]["max_iterations"] < 200
         assert doc["aggregates"]["iteration_histogram"]
 
+    def test_convergence_suite_has_no_tail(self, tmp_path):
+        # seeds 0..199 at (2,2) include seed 154, which the unaccelerated
+        # contraction needed 268 iterations for
+        out = tmp_path / "out.json"
+        code = cli.main(
+            ["experiment", "convergence", "--dims", "2,2", "--count", "200", "--output", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["aggregates"]["max_iterations"] < 50
+
     def test_preserve_separability_suite(self, tmp_path):
         out = tmp_path / "out.json"
         code = cli.main(

@@ -97,9 +97,12 @@ class TestFixedPointIterate:
         [((2, 2), None, 154), ((3, 3), 1e-3, 0), ((3, 3), 1e-4, 1), ((3, 3), 1e-6, 2)],
     )
     def test_step_history_is_hilbert_distance_of_rays(self, dims, floor, seed):
-        # The loop reads its step off the adjoint image's eigenpairs; pin it
-        # to the public metric on the iterates themselves, including states
-        # near the boundary of the cone.
+        # The loop reads its step d(T(x_k), x_k) off the adjoint image's
+        # eigenpairs; pin it to the public metric, with T built from the
+        # public map applications, including states near the boundary of the
+        # cone. x_0 = I/n, and x_k for k >= 1 is the ray of a run cut after k
+        # steps: the iterate its next step starts from, which the Anderson
+        # extrapolation builds, so it is not the plain image of x_{k-1}.
         n, m = dims
         rho = states.random_full_rank_state(n, m, seed)
         if floor is not None:
@@ -113,13 +116,14 @@ class TestFixedPointIterate:
         assert report.converged
         assert report.step_history[-1] <= 1e-12
         assert report.final_step == report.step_history[-1]
-        total = report.iterations
-        # every step on short runs; on the long seed-154 tail every tenth and the last
-        checked = range(total) if total <= 60 else sorted({*range(0, total, 10), total - 1})
-        for k in checked:
-            before = copula.fixed_point_iterate(phi, max_iter=k).phi_ray
-            after = copula.fixed_point_iterate(phi, max_iter=k + 1).phi_ray
-            assert abs(report.step_history[k] - pmetric.hilbert_distance(after, before)) <= 1e-12
+
+        def t_map(x):
+            forward = np.linalg.inv(choi.apply(phi, x))
+            return np.linalg.inv(choi.apply_adjoint(phi, forward))
+
+        for k in range(report.iterations):
+            x = np.eye(n) / n if k == 0 else copula.fixed_point_iterate(phi, max_iter=k).phi_ray
+            assert abs(report.step_history[k] - pmetric.hilbert_distance(t_map(x), x)) <= 1e-12
 
     def test_rejects_indefinite_init(self):
         phi = choi.choi_from_state(maximally_mixed(2, 2))
@@ -130,6 +134,68 @@ class TestFixedPointIterate:
         phi = choi.choi_from_state(maximally_mixed(2, 2))
         with pytest.raises(ValueError):
             copula.fixed_point_iterate(phi, tol=0.0)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1.0}, {"max_iter": 0}],
+        ids=["tol-nan", "tol-inf", "tol-negative", "max-iter-0"],
+    )
+    def test_rejects_out_of_range_settings(self, settings):
+        # NaN passed a bare ``tol <= 0`` check and ran every step unconverged
+        phi = choi.choi_from_state(states.random_full_rank_state(2, 2, 0))
+        with pytest.raises(ValueError, match=next(iter(settings))):
+            copula.fixed_point_iterate(phi, **settings)
+
+    def test_rejected_extrapolants_fall_back_to_the_plain_contraction(self, monkeypatch):
+        # With every Gram solve failing, each step is the plain T step, so
+        # the seed-154 tail of the unaccelerated contraction comes back.
+        phi = choi.choi_from_state(states.random_full_rank_state(2, 2, 154))
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        report = copula.fixed_point_iterate(phi)
+        assert report.converged
+        assert report.iterations == 268
+        assert report.restarts > 0
+        x = np.eye(2, dtype=complex) / 2
+        for _ in range(report.iterations):
+            t = np.linalg.inv(choi.apply_adjoint(phi, np.linalg.inv(choi.apply(phi, x))))
+            x = t / np.trace(t).real
+        assert np.abs(report.phi_ray - x).max() <= 1e-12
+
+    def test_restart_clears_the_memory(self, monkeypatch):
+        # one rejected Gram solve empties the memory, so the next system
+        # holds a single difference again
+        phi = choi.choi_from_state(states.random_full_rank_state(3, 3, 0))
+        original = np.linalg.solve
+        sizes = []
+
+        def third_fails(a, b):
+            sizes.append(len(b))
+            if len(sizes) == 3:
+                raise np.linalg.LinAlgError("singular matrix")
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", third_fails)
+        report = copula.fixed_point_iterate(phi)
+        assert report.converged
+        assert report.restarts == 1
+        assert sizes[:5] == [1, 2, 3, 1, 2]
+
+    @pytest.mark.parametrize("seed", [154, 155])
+    def test_returned_ray_is_plain_image_of_last_iterate(self, seed):
+        # at a loose tol the last iterate, an extrapolant, and its plain
+        # image differ visibly; the ray and lam are read off the image
+        phi = choi.choi_from_state(states.random_full_rank_state(2, 2, seed))
+        report = copula.fixed_point_iterate(phi, tol=1e-6)
+        assert report.converged
+        last = copula.fixed_point_iterate(phi, tol=1e-6, max_iter=report.iterations - 1).phi_ray
+        t = np.linalg.inv(choi.apply_adjoint(phi, np.linalg.inv(choi.apply(phi, last))))
+        image = t / np.trace(t).real
+        assert np.abs(last - image).max() > 1e-9
+        assert np.abs(report.phi_ray - image).max() <= 1e-14
 
 
 class TestExtractScalers:
@@ -250,8 +316,7 @@ class TestCopulaOf:
             copula.copula_of(rho)
 
     def test_regularize_handles_rank_deficiency(self):
-        # contraction degrades as the perturbed state approaches the
-        # boundary, so a workable epsilon is larger than the default
+        # TestNearBoundary takes epsilon down to the default 1e-8
         mat = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
         rho = states.DensityMatrix(mat, 2, 2)
         cfg = copula.SolverConfig(regularize=True, reg_eps=1e-2)
@@ -320,6 +385,51 @@ class TestCopulaOf:
             f_sqrt = copula.copula_invariants(chi_sqrt)
             f_chol = copula.copula_invariants(chi_chol)
             assert np.abs(f_sqrt - f_chol).max() <= 1e-9
+
+
+def near_boundary_state(f, seed):
+    """(1 - f)|v><v| + f W at (2,2): a random rank-one projector mixed with
+    weight f of a Wishart state, so the eigenvalue floor is of order f."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    w = states.wishart_state_matrix(4, rng)
+    return states.DensityMatrix((1.0 - f) * np.outer(v, v.conj()) + f * w, 2, 2)
+
+
+class TestNearBoundary:
+    # The contraction ratio of T tends to one as the eigenvalue floor
+    # shrinks; the unaccelerated iteration needed thousands of steps at
+    # f = 1e-3 and did not converge within 20000 at 1e-5.
+
+    @pytest.mark.parametrize("f", [1e-3, 1e-5, 1e-8])
+    def test_mixtures_verify_at_default_settings(self, f):
+        cfg = copula.SolverConfig()
+        for seed in range(20):
+            rho = near_boundary_state(f, seed)
+            lo, hi = rho.eig_range
+            assert cfg.rank_tol * hi < lo <= 2.0 * f
+            result = copula.copula_of(rho, cfg)
+            assert result.report.iterations < 100
+            assert result.marginal_residual <= cfg.marginal_tol
+            a, b = copula.connection_matrices(result.scalers)
+            assert copula.verify_connection(rho, result.chi, a, b) <= 1e-10
+
+    @pytest.mark.parametrize("reg_eps", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_regularized_rank_deficient_states_verify(self, rank, reg_eps):
+        cfg = copula.SolverConfig(regularize=True, reg_eps=reg_eps)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            mat = g @ g.conj().T
+            rho = states.DensityMatrix(mat / np.trace(mat).real, 2, 2)
+            with pytest.raises(RankDeficient):
+                copula.copula_of(rho)
+            result = copula.copula_of(rho, cfg)
+            assert result.regularized
+            assert result.report.iterations < 100
+            assert result.marginal_residual <= cfg.marginal_tol
 
 
 class TestVerifyConnection:
