@@ -131,8 +131,7 @@ def sandwich_transform(phi: ChoiOperator, a, b) -> ChoiOperator:
         raise SingularTransform(
             f"transform matrices too ill-conditioned: cond(a)={ca:.3e}, cond(b)={cb:.3e}"
         )
-    w = np.kron(am.T, bm)
-    return ChoiOperator(w @ phi.choi @ w.conj().T, n, m)
+    return ChoiOperator(matcore.local_congruence(phi.choi, am.T, bm), n, m)
 
 
 def is_strictly_positive_sample(phi: ChoiOperator, trials: int, seed) -> bool:

@@ -6,8 +6,8 @@ pair (phi0, phi1) solving
 
     Phi(phi0^{-1}) = (1/m) phi1^{-1}        Phi*(phi1) = (1/n) phi0,
 
-factor phi_k = psi_k* psi_k, and conjugate the state by
-(psi0^{-1})^T o psi1 to reach the unique-up-to-local-unitaries
+take the Hermitian square roots psi_k = phi_k^{1/2}, and conjugate the
+state by (psi0^{-1})^T o psi1 to reach the unique-up-to-local-unitaries
 representative with maximally mixed marginals.
 """
 
@@ -34,6 +34,7 @@ from .errors import (
 SINGULAR_EIG_RTOL = 1e-14
 SCALING_EQ_RTOL = 1e-9
 PRECOPULA_TOL = 1e-8
+ROUNDING_EPS = float(np.finfo(np.float64).eps)
 ANDERSON_MEMORY = 4  # differences the fixed-point extrapolation keeps
 
 _CONFIG_FIELDS = ("tol", "marginal_tol", "max_iter", "rank_tol", "regularize", "reg_eps")
@@ -104,7 +105,7 @@ class FixedPointReport:
 
 @dataclass
 class ScalerPair:
-    """Positive-definite scaling matrices and their chosen factors."""
+    """Positive-definite scaling matrices and their Hermitian square roots."""
 
     phi0: np.ndarray
     phi1: np.ndarray
@@ -140,10 +141,14 @@ def _eig_pd(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _pd_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """v diag(w^p) v*, the power p of the PD matrix with eigenpairs (w, v)."""
+    return (v * w**p) @ v.conj().T
+
+
 def _inv_pd(mat: np.ndarray, context: str) -> np.ndarray:
     """Inverse of a positive-definite matrix, floored as in ``_eig_pd``."""
-    w, v = _eig_pd(mat, context)
-    return (v * (1.0 / w)) @ v.conj().T
+    return _pd_power(*_eig_pd(mat, context), -1.0)
 
 
 def _apply_t(phi: choimod.ChoiOperator, x: np.ndarray):
@@ -159,7 +164,7 @@ def _apply_t(phi: choimod.ChoiOperator, x: np.ndarray):
     """
     forward = _inv_pd(phi._apply(x), "forward image")
     w, v = _eig_pd(phi._apply_adjoint(forward), "adjoint image")
-    return (v * (1.0 / w)) @ v.conj().T, w, v
+    return _pd_power(w, v, -1.0), w, v
 
 
 def _step_to_inverse(x: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
@@ -289,21 +294,19 @@ def scaling_equation_residuals(
     return res1, res2
 
 
-def extract_scalers(
-    phi: choimod.ChoiOperator,
-    report: FixedPointReport,
-    factorization: str = "sqrt",
-) -> ScalerPair:
-    """Build (phi0, phi1) from the fixed ray and factor them.
+def extract_scalers(phi: choimod.ChoiOperator, report: FixedPointReport) -> ScalerPair:
+    """Build (phi0, phi1) from the fixed ray and their Hermitian square roots.
 
     phi1 = (1/m) (Phi(phi_ray))^{-1} and phi0 = n Phi*(phi1); both defining
     equations are re-checked before returning, at the run's stopping
-    tolerance or 1e-9 relative, whichever is looser.
+    tolerance or 1e-9 relative, whichever is looser. psi1 reuses the
+    eigenpairs phi1 is built from; psi0 takes one eigendecomposition of phi0.
     """
     if not report.converged:
         raise NotConverged("scaling matrices require a converged fixed point", report=report)
     n, m = phi.dim_in, phi.dim_out
-    phi1 = matcore.hermitian_part(_inv_pd(phi._apply(report.phi_ray), "forward image") / m)
+    w1, v1 = _eig_pd(phi._apply(report.phi_ray), "forward image")
+    phi1 = matcore.hermitian_part(_pd_power(w1, v1, -1.0) / m)
     phi0 = matcore.hermitian_part(n * phi._apply_adjoint(phi1))
     res1, res2 = scaling_equation_residuals(phi, phi0, phi1)
     bound = max(SCALING_EQ_RTOL, report.tol)
@@ -312,30 +315,39 @@ def extract_scalers(
             f"scaling equations missed {bound:g} relative: "
             f"forward {res1:.3e}, adjoint {res2:.3e}"
         )
-    psi0 = matcore.cholesky_like_factor(phi0, factorization)
-    psi1 = matcore.cholesky_like_factor(phi1, factorization)
+    psi0 = _pd_power(*_eig_pd(phi0, "phi0"), 0.5)
+    psi1 = _pd_power(m * w1, v1, -0.5)
     return ScalerPair(phi0, phi1, psi0, psi1, res1, res2)
 
 
 def connection_matrices(scalers: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
     """Invertible (a, b) with (a* o b*) rho (a o b) = chi for the run that
-    produced ``scalers``."""
+    produced ``scalers``. a* = (psi0^{-1})^T is an entrywise transpose: a
+    conjugate one breaks marginal uniformity for complex-valued states."""
     a = np.conj(np.linalg.inv(scalers.psi0))
     b = scalers.psi1.conj().T
     return a, b
 
 
-def copula_of(
-    rho: states.DensityMatrix,
-    cfg: SolverConfig | None = None,
-    *,
-    factorization: str = "sqrt",
-) -> CopulaResult:
+def _out_of_reach(work: states.DensityMatrix, report: FixedPointReport, message: str) -> None:
+    """Raise ``NotConverged`` if tol is below eps * cond(work): a stopping
+    step under tol can then be rounding noise, so a missed check is no bug."""
+    lo, hi = work.eig_range
+    if report.tol * lo < ROUNDING_EPS * hi:
+        floor = ROUNDING_EPS * hi / lo
+        raise NotConverged(
+            f"{message}; tol {report.tol:g} is below eps * cond(state) = {floor:.1e}", report=report
+        )
+
+
+def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> CopulaResult:
     """Compute the uniform-marginal representative connected to ``rho``.
 
     Requires a full-rank input; with ``cfg.regularize`` the state is first
     mixed with eps * I/(nm) and the result is (explicitly) the copula of
     the perturbed state. Settings out of range raise ``InvalidInput``.
+    A missed verification bound raises ``NotConverged`` if tol is below
+    eps * cond(state), and otherwise the check's own error, a bug.
     """
     cfg = SolverConfig() if cfg is None else cfg
     cfg._check_ranges()
@@ -362,11 +374,13 @@ def copula_of(
             f"(last step {report.final_step:.3e} > tol {cfg.tol:g})",
             report=report,
         )
-    scalers = extract_scalers(phi, report, factorization)
-    # Entrywise (non-conjugate) transpose on the first factor; conjugating
-    # here breaks marginal uniformity for complex-valued states.
-    left = np.kron(np.linalg.inv(scalers.psi0).T, scalers.psi1)
-    raw = matcore.hermitian_part(left @ work.mat @ left.conj().T)
+    try:
+        scalers = extract_scalers(phi, report)
+    except VerificationFailed as exc:
+        _out_of_reach(work, report, str(exc))
+        raise
+    a, b = connection_matrices(scalers)
+    raw = matcore.hermitian_part(matcore.local_congruence(work.mat, a.conj().T, b.conj().T))
     raw /= np.trace(raw).real
     # chi is congruent to the checked state by an invertible matrix, so it is
     # positive definite (Sylvester's law of inertia); Cholesky confirms it.
@@ -374,10 +388,9 @@ def copula_of(
     residual = max(states.marginal_residuals(chi))
     marginal_bound = max(cfg.marginal_tol, report.tol)
     if residual > marginal_bound:
-        raise PrecopulaCheckFailed(
-            f"converged run produced marginal residual {residual:.3e} "
-            f"> {marginal_bound:g}; this indicates a bug"
-        )
+        message = f"converged run produced marginal residual {residual:.3e} > {marginal_bound:g}"
+        _out_of_reach(work, report, message)
+        raise PrecopulaCheckFailed(f"{message}; this indicates a bug")
     return CopulaResult(
         chi=chi,
         scalers=scalers,

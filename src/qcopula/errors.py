@@ -17,10 +17,6 @@ class NotHermitian(QcopulaError):
     """A matrix required to be Hermitian fails the tolerance check."""
 
 
-class NotPositiveDefinite(QcopulaError):
-    """A matrix required to be positive definite has a too-small eigenvalue."""
-
-
 class NotPSD(QcopulaError):
     """A matrix required to be positive semi-definite is not."""
 

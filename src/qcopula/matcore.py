@@ -10,10 +10,9 @@ import math
 
 import numpy as np
 
-from .errors import NonFinite, NotHermitian, NotPositiveDefinite, ShapeMismatch
+from .errors import NonFinite, NotHermitian, ShapeMismatch
 
 HERMITIAN_RTOL = 1e-10
-PD_EIG_RTOL = 1e-12
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -65,22 +64,12 @@ def require_hermitian(
     return hermitian_part(m)
 
 
-def cholesky_like_factor(a, method: str = "sqrt") -> np.ndarray:
-    """Factor a positive-definite ``a`` as psi* psi = a.
-
-    ``method="sqrt"`` returns the Hermitian square root V diag(sqrt w) V*
-    (the canonical choice; it does not depend on the eigenvectors' phases);
-    ``method="cholesky"`` returns the upper-triangular conjugate of the
-    Cholesky factor. Either satisfies the factorization contract.
-    """
-    h = require_hermitian(a)
-    w, v = np.linalg.eigh(h)
-    if w[-1] <= 0.0 or w[0] <= PD_EIG_RTOL * w[-1]:
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite: eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
-        )
-    if method == "sqrt":
-        return (v * np.sqrt(w)) @ v.conj().T
-    if method == "cholesky":
-        return np.linalg.cholesky(h).conj().T
-    raise ValueError(f"unknown factorization method {method!r}")
+def local_congruence(mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a o b) mat (a o b)* for an (nm) x (nm) ``mat``, n x n ``a`` and m x m
+    ``b``, without forming the Kronecker product: on the (n, m, n, m) view
+    of ``mat``, a, b, conj(a) and conj(b) each act on one index."""
+    n, m = a.shape[0], b.shape[0]
+    t = (a @ mat.reshape(n, -1)).reshape(n, m, n * m)
+    t = (b @ t).reshape(n * m, n, m)
+    t = (a.conj() @ t).reshape(-1, m)
+    return (t @ b.conj().T).reshape(n * m, n * m)

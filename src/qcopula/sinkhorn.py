@@ -54,8 +54,10 @@ def sinkhorn_scale(
         raise InvalidInput("matrix entries must be finite")
     if np.any(mat <= 0.0):
         raise NonPositiveEntry("matrix must have strictly positive entries")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInput(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be at least 1, got {max_iter!r}")
     n = mat.shape[0]
     if d2_init is None:
         d2 = np.ones(n)

@@ -306,14 +306,28 @@ def test_criterion_12_diagonal_state_reduction():
            f"(max gap to S/2 {worst:.2e} <= 1e-9)")
 
 
+def cholesky_copula(rho, scalers):
+    """The copula conjugated by the Cholesky factors psi_k = L_k* of the
+    run's scaling matrices (phi_k = L_k L_k*), by the Kronecker formula."""
+    psi0 = np.linalg.cholesky(scalers.phi0).conj().T
+    psi1 = np.linalg.cholesky(scalers.phi1).conj().T
+    left = np.kron(np.linalg.inv(psi0).T, psi1)
+    raw = left @ rho.mat @ left.conj().T
+    raw = (raw + raw.conj().T) / 2.0
+    return states.DensityMatrix(raw / np.trace(raw).real, rho.dim_a, rho.dim_b)
+
+
 def test_criterion_13_factorization_independence():
+    # any factor with psi* psi = phi gives the same copula up to local
+    # unitaries; the solver's Hermitian square roots and Cholesky factors
+    # must give the same fingerprint
     worst = 0.0
     for seed in range(50):
         rho = states.random_full_rank_state(2, 2, seed)
-        chi_sqrt = copula.copula_of(rho, factorization="sqrt").chi
-        chi_chol = copula.copula_of(rho, factorization="cholesky").chi
+        result = copula.copula_of(rho)
+        chi_chol = cholesky_copula(rho, result.scalers)
         gap = np.abs(
-            copula.copula_invariants(chi_sqrt) - copula.copula_invariants(chi_chol)
+            copula.copula_invariants(result.chi) - copula.copula_invariants(chi_chol)
         ).max()
         worst = max(worst, gap)
     report(13, "factorization independence", worst <= 1e-9,

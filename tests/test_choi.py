@@ -210,13 +210,14 @@ class TestSandwichTransform:
         np.testing.assert_allclose(out.choi, np.diag(scales**2) / 4)
 
     def test_matches_direct_application(self):
+        # both orders of unequal dims pin the index order of the conjugation
         rng = np.random.default_rng(15)
-        for _ in range(100):
-            phi = random_choi(rng, 2, 3)
-            a = random_complex(rng, 2, 2)
-            b = random_complex(rng, 3, 3)
+        for n, m in [(2, 3), (3, 2)] * 100:
+            phi = random_choi(rng, n, m)
+            a = random_complex(rng, n, n)
+            b = random_complex(rng, m, m)
             out = choi.sandwich_transform(phi, a, b)
-            x = random_complex(rng, 2, 2)
+            x = random_complex(rng, n, n)
             direct = b @ choi.apply(phi, a @ x @ a.conj().T) @ b.conj().T
             viachoi = choi.apply(out, x)
             assert np.abs(direct - viachoi).max() <= 1e-11 * max(np.abs(direct).max(), 1.0)

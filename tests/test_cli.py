@@ -153,6 +153,25 @@ class TestClassicalCommand:
         inp = write_json(tmp_path / "in.json", [[1.0, 2.0], [3.0, 4.0]])
         assert cli.main(["classical", inp, "--max-iter", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol", "nan"],
+            ["--tol", "inf"],
+            ["--tol", "0"],
+            ["--tol", "-1"],
+            ["--max-iter", "0"],
+            ["--max-iter", "-3"],
+        ],
+        ids=["tol-nan", "tol-inf", "tol-0", "tol-negative", "max-iter-0", "max-iter-negative"],
+    )
+    def test_invalid_settings_exit_3(self, tmp_path, capsys, flags):
+        inp = write_json(tmp_path / "in.json", {"matrix": [[1.0, 2.0], [3.0, 4.0]]})
+        assert cli.main(["classical", inp, *flags]) == 3
+        captured = capsys.readouterr()
+        assert flags[0].lstrip("-").replace("-", "_") in captured.err
+        assert captured.out == ""
+
 
 class TestExperimentCommand:
     def test_unknown_suite_exits_4(self, capsys):

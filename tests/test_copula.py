@@ -8,8 +8,10 @@ from qcopula.errors import (
     InvalidInput,
     NotConverged,
     NotPrecopula,
+    PrecopulaCheckFailed,
     RankDeficient,
     SingularIntermediate,
+    VerificationFailed,
 )
 
 
@@ -201,12 +203,15 @@ class TestFixedPointIterate:
 class TestExtractScalers:
     def test_maximally_mixed_scalers(self):
         # the trace-one fixed point I/2 gives phi1 = (1/2)(I/4)^{-1} = 2I
-        # and phi0 = 2 Phi*(2I) = 2I; both defining equations hold exactly
+        # and phi0 = 2 Phi*(2I) = 2I; both defining equations hold exactly,
+        # and both square roots are sqrt(2) I
         phi = choi.choi_from_state(maximally_mixed(2, 2))
         report = copula.fixed_point_iterate(phi)
         scalers = copula.extract_scalers(phi, report)
         np.testing.assert_allclose(scalers.phi0, 2.0 * np.eye(2), atol=1e-11)
         np.testing.assert_allclose(scalers.phi1, 2.0 * np.eye(2), atol=1e-11)
+        np.testing.assert_allclose(scalers.psi0, np.sqrt(2.0) * np.eye(2), atol=1e-11)
+        np.testing.assert_allclose(scalers.psi1, np.sqrt(2.0) * np.eye(2), atol=1e-11)
 
     def test_defining_equations_hold(self):
         for seed in range(20):
@@ -244,12 +249,24 @@ class TestExtractScalers:
         assert pmetric.hilbert_distance(scalers.phi0, f1.T) <= 1e-9
         assert pmetric.hilbert_distance(scalers.phi1, np.linalg.inv(f2)) <= 1e-9
 
-    def test_factors_reconstruct(self):
-        rho = states.random_full_rank_state(2, 2, 4)
+    def test_diagonal_state_factors_are_entrywise_square_roots(self):
+        # a diagonal state has diagonal scalers, whose square roots are the
+        # square roots of their diagonals
+        rho = states.DensityMatrix(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex), 2, 2)
         phi = choi.choi_from_state(rho)
         scalers = copula.extract_scalers(phi, copula.fixed_point_iterate(phi))
-        assert np.linalg.norm(scalers.psi0.conj().T @ scalers.psi0 - scalers.phi0) <= 1e-11
-        assert np.linalg.norm(scalers.psi1.conj().T @ scalers.psi1 - scalers.phi1) <= 1e-11
+        for phi_k, psi_k in ((scalers.phi0, scalers.psi0), (scalers.phi1, scalers.psi1)):
+            assert np.abs(phi_k - np.diag(np.diag(phi_k))).max() <= 1e-14
+            np.testing.assert_allclose(psi_k, np.diag(np.sqrt(np.diag(phi_k).real)), atol=1e-13)
+
+    def test_factors_reconstruct(self):
+        # psi_k is the Hermitian square root of phi_k
+        for dims, seed in (((2, 2), 4), ((2, 3), 4), ((2, 3), 5)):
+            phi = choi.choi_from_state(states.random_full_rank_state(*dims, seed))
+            scalers = copula.extract_scalers(phi, copula.fixed_point_iterate(phi))
+            for phi_k, psi_k in ((scalers.phi0, scalers.psi0), (scalers.phi1, scalers.psi1)):
+                assert np.linalg.norm(psi_k.conj().T @ psi_k - phi_k) <= 1e-11
+                assert np.abs(psi_k - psi_k.conj().T).max() <= 1e-14 * np.abs(psi_k).max()
 
     def test_requires_converged_report(self):
         rho = states.random_full_rank_state(2, 2, 5)
@@ -377,14 +394,32 @@ class TestCopulaOf:
         assert shapes
         assert set(shapes) <= {(2, 2), (3, 3)}
 
-    def test_factorization_choices_agree_on_invariants(self):
-        for seed in range(5):
-            rho = states.random_full_rank_state(2, 2, seed)
-            chi_sqrt = copula.copula_of(rho, factorization="sqrt").chi
-            chi_chol = copula.copula_of(rho, factorization="cholesky").chi
-            f_sqrt = copula.copula_invariants(chi_sqrt)
-            f_chol = copula.copula_invariants(chi_chol)
-            assert np.abs(f_sqrt - f_chol).max() <= 1e-9
+    @pytest.mark.parametrize(
+        "owner, target, error",
+        [
+            (copula, "scaling_equation_residuals", VerificationFailed),
+            (states, "marginal_residuals", PrecopulaCheckFailed),
+        ],
+        ids=["scaling", "marginals"],
+    )
+    def test_miss_above_rounding_reach_is_a_bug(self, monkeypatch, owner, target, error):
+        # a well-conditioned state at the default tol leaves rounding no
+        # room to explain a missed check
+        rho = states.random_full_rank_state(2, 2, 0)
+        monkeypatch.setattr(owner, target, lambda *args: (1.0, 1.0))
+        with pytest.raises(error):
+            copula.copula_of(rho)
+
+    def test_conjugation_forms_no_kronecker_product(self, monkeypatch):
+        # chi is built by matcore.local_congruence on the (n, m, n, m) view
+        rho = states.random_full_rank_state(2, 3, 0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", forbidden)
+        result = copula.copula_of(rho)
+        assert result.marginal_residual <= 1e-10
 
 
 def near_boundary_state(f, seed):

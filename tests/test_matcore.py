@@ -4,49 +4,21 @@ import numpy as np
 import pytest
 
 from qcopula import matcore
-from qcopula.errors import (
-    NonFinite,
-    NotHermitian,
-    NotPositiveDefinite,
-    ShapeMismatch,
-)
+from qcopula.errors import NonFinite, NotHermitian, ShapeMismatch
 
 
-def random_pd(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return g @ g.conj().T + 0.1 * np.eye(n)
+def random_complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-class TestCholeskyLikeFactor:
-    def test_identity(self):
-        np.testing.assert_allclose(matcore.cholesky_like_factor(np.eye(3)), np.eye(3))
-
-    def test_diagonal_square_roots(self):
-        psi = matcore.cholesky_like_factor(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(psi, np.diag([2.0, 3.0]), atol=1e-14)
-
-    @pytest.mark.parametrize("method", ["sqrt", "cholesky"])
-    def test_reconstruction_random(self, method):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = random_pd(rng, 3)
-            psi = matcore.cholesky_like_factor(a, method)
-            err = np.linalg.norm(psi.conj().T @ psi - a) / np.linalg.norm(a)
-            assert err < 1e-12
-
-    def test_sqrt_factor_is_hermitian(self):
-        rng = np.random.default_rng(8)
-        a = random_pd(rng, 4)
-        psi = matcore.cholesky_like_factor(a, "sqrt")
-        assert matcore.hermitian_defect(psi) <= 1e-12 * matcore.max_abs(psi)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            matcore.cholesky_like_factor(np.diag([1.0, -1.0]))
-
-    def test_rejects_singular(self):
-        with pytest.raises(NotPositiveDefinite):
-            matcore.cholesky_like_factor(np.diag([1.0, 0.0]))
+class TestRequireHermitian:
+    def test_returns_hermitian_part_without_touching_input(self):
+        a = np.array([[1.0, 2.0 + 1e-12j], [2.0, 3.0]], dtype=complex)
+        before = a.copy()
+        h = matcore.require_hermitian(a)
+        assert matcore.hermitian_defect(h) == 0.0
+        np.testing.assert_array_equal(a, before)
+        np.testing.assert_allclose(h, a, atol=1e-12)
 
     @pytest.mark.parametrize(
         "a, error",
@@ -60,8 +32,20 @@ class TestCholeskyLikeFactor:
     )
     def test_rejects_invalid_input(self, a, error):
         with pytest.raises(error):
-            matcore.cholesky_like_factor(a)
+            matcore.require_hermitian(a)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            matcore.cholesky_like_factor(np.eye(2), "qr")
+
+class TestLocalCongruence:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (1, 3)])
+    def test_matches_kronecker_formula(self, dims):
+        rng = np.random.default_rng(9)
+        n, m = dims
+        for _ in range(20):
+            mat = random_complex(rng, n * m, n * m)
+            a = random_complex(rng, n, n)
+            b = random_complex(rng, m, m)
+            k = np.kron(a, b)
+            expected = k @ mat @ k.conj().T
+            got = matcore.local_congruence(mat, a, b)
+            assert got.shape == (n * m, n * m)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
