@@ -3,12 +3,46 @@
 import numpy as np
 import pytest
 
-from qcopula import matcore
+from qcopula import copula, matcore
 from qcopula.errors import NonFinite, NotHermitian, ShapeMismatch
 
 
 def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def random_pd(rng, n):
+    g = random_complex(rng, n, n)
+    return g @ g.conj().T + 0.1 * np.eye(n)
+
+
+def pd_factor(a, route="sqrt"):
+    # the factor psi with psi* psi = a that extract_scalers builds: the
+    # Hermitian square root, either from the eigenpairs of a (as for psi0)
+    # or as the power -1/2 of the eigenpairs of a^{-1} (as for psi1)
+    if route == "sqrt":
+        return copula._pd_power(*copula._eig_pd(a, "a"), 0.5)
+    return copula._pd_power(*copula._eig_pd(np.linalg.inv(a), "a^-1"), -0.5)
+
+
+class TestCholeskyLikeFactor:
+    def test_identity(self):
+        np.testing.assert_allclose(pd_factor(np.eye(3)), np.eye(3))
+
+    @pytest.mark.parametrize("route", ["sqrt", "inverse-sqrt"])
+    def test_reconstruction_random(self, route):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            a = random_pd(rng, 3)
+            psi = pd_factor(a, route)
+            err = np.linalg.norm(psi.conj().T @ psi - a) / np.linalg.norm(a)
+            assert err < 1e-12
+
+    def test_sqrt_factor_is_hermitian(self):
+        rng = np.random.default_rng(8)
+        a = random_pd(rng, 4)
+        psi = pd_factor(a)
+        assert matcore.hermitian_defect(psi) <= 1e-12 * matcore.max_abs(psi)
 
 
 class TestRequireHermitian:
