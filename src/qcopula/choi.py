@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .errors import ShapeMismatch, SingularTransform
+from .errors import SingularTransform
 from .states import DensityMatrix
 
 CONDITION_CAP = 1e12
@@ -23,10 +23,11 @@ POSITIVITY_PROBE_RTOL = 1e-12
 class ChoiOperator:
     """A linear map M(dim_in) -> M(dim_out) stored via its Choi matrix.
 
-    ``choi`` is a read-only copy of the input. Construction also stores the
-    realigned (n^2, m^2) matrix R with R[(i,j), (k,l)] = choi[(i,k), (j,l)],
-    the map's matrix on row-major vectorizations, so Phi(X) = vec(X) R and
-    Phi*(Y) = conj(R) vec(Y) are one matrix product each.
+    ``choi`` is read-only: a state's matrix is shared, anything writable is
+    copied. Construction also stores the realigned (n^2, m^2) matrix R with
+    R[(i,j), (k,l)] = choi[(i,k), (j,l)], the map's matrix on row-major
+    vectorizations, so Phi(X) = vec(X) R and Phi*(Y) = conj(R) vec(Y) are
+    one matrix product each.
     """
 
     choi: np.ndarray
@@ -35,11 +36,8 @@ class ChoiOperator:
     _realigned: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        choi = matcore.as_cmatrix(self.choi)
         n, m = self.dim_in, self.dim_out
-        if choi.shape != (n * m, n * m):
-            raise ShapeMismatch(f"Choi matrix has shape {choi.shape}, expected ({n * m}, {n * m})")
-        choi.flags.writeable = False
+        choi = matcore.as_cmatrix(self.choi, n * m, "Choi matrix")
         realigned = choi.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
         realigned.flags.writeable = False
         object.__setattr__(self, "choi", choi)
@@ -60,8 +58,8 @@ class ChoiOperator:
 
 
 def choi_from_state(rho: DensityMatrix) -> ChoiOperator:
-    """Reinterpret a bipartite state as the Choi matrix of its map; no data
-    transformation."""
+    """Reinterpret a bipartite state as the Choi matrix of its map; the
+    operator shares the state's checked, read-only matrix."""
     return ChoiOperator(rho.mat, rho.dim_a, rho.dim_b)
 
 
@@ -79,19 +77,13 @@ def choi_from_map(fn, n: int, m: int) -> ChoiOperator:
 
 def apply(phi: ChoiOperator, x) -> np.ndarray:
     """Phi(X) = sum_ij X[i,j] Phi(E_ij); returns an m x m matrix."""
-    xm = matcore.as_cmatrix(x)
-    n = phi.dim_in
-    if xm.shape != (n, n):
-        raise ShapeMismatch(f"input has shape {xm.shape}, expected ({n}, {n})")
-    return phi._apply(xm)
+    return phi._apply(matcore.as_cmatrix(x, phi.dim_in, "input"))
 
 
 def apply_via_partial_trace(phi: ChoiOperator, x) -> np.ndarray:
     """Equivalent formula Tr_1((X^T o I_m) choi); cross-check route only."""
-    xm = matcore.as_cmatrix(x)
     n, m = phi.dim_in, phi.dim_out
-    if xm.shape != (n, n):
-        raise ShapeMismatch(f"input has shape {xm.shape}, expected ({n}, {n})")
+    xm = matcore.as_cmatrix(x, n, "input")
     prod = np.kron(xm.T, np.eye(m)) @ phi.choi
     return np.einsum("ikil->kl", prod.reshape(n, m, n, m))
 
@@ -99,11 +91,7 @@ def apply_via_partial_trace(phi: ChoiOperator, x) -> np.ndarray:
 def apply_adjoint(phi: ChoiOperator, y) -> np.ndarray:
     """Hilbert-Schmidt adjoint: Phi*(Y)[i,j] = Tr(Phi(E_ij)* Y), the unique
     map satisfying <Phi(X), Y> = <X, Phi*(Y)>."""
-    ym = matcore.as_cmatrix(y)
-    m = phi.dim_out
-    if ym.shape != (m, m):
-        raise ShapeMismatch(f"input has shape {ym.shape}, expected ({m}, {m})")
-    return phi._apply_adjoint(ym)
+    return phi._apply_adjoint(matcore.as_cmatrix(y, phi.dim_out, "input"))
 
 
 def adjoint(phi: ChoiOperator) -> ChoiOperator:
@@ -118,13 +106,9 @@ def sandwich_transform(phi: ChoiOperator, a, b) -> ChoiOperator:
 
     The transpose on the A side is entrywise (non-conjugate).
     """
-    am = matcore.as_cmatrix(a)
-    bm = matcore.as_cmatrix(b)
     n, m = phi.dim_in, phi.dim_out
-    if am.shape != (n, n):
-        raise ShapeMismatch(f"a has shape {am.shape}, expected ({n}, {n})")
-    if bm.shape != (m, m):
-        raise ShapeMismatch(f"b has shape {bm.shape}, expected ({m}, {m})")
+    am = matcore.as_cmatrix(a, n, "a")
+    bm = matcore.as_cmatrix(b, m, "b")
     ca = float(np.linalg.cond(am, 2))
     cb = float(np.linalg.cond(bm, 2))
     if not np.isfinite(ca) or not np.isfinite(cb) or ca > CONDITION_CAP or cb > CONDITION_CAP:

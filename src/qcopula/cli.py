@@ -332,6 +332,9 @@ def _suite_uniqueness(seed, count, dims, cfg):
 
 def _suite_metric_axioms(seed, count, dims, cfg):
     d = dims[0] * dims[1]
+    if d < 2:
+        # the support check compares two orthogonal rank-one projectors
+        raise QcopulaError(f"metric-axioms needs n*m >= 2, got dims {dims[0]},{dims[1]}")
 
     def one(i):
         rng = np.random.default_rng((seed, i))

@@ -26,7 +26,6 @@ from .errors import (
     NotPrecopula,
     PrecopulaCheckFailed,
     RankDeficient,
-    ShapeMismatch,
     SingularIntermediate,
     VerificationFailed,
 )
@@ -212,21 +211,19 @@ def fixed_point_iterate(
     if init is None:
         x = np.eye(n, dtype=np.complex128) / n
     else:
-        x = matcore.require_hermitian(init, what="init")
-        if x.shape != (n, n):
-            raise ShapeMismatch(f"init has shape {x.shape}, expected ({n}, {n})")
+        x = matcore.require_hermitian(matcore.as_cmatrix(init, n, "init"), what="init")
         if np.linalg.eigvalsh(x)[0] <= 0.0:
             raise ValueError("init must be positive definite")
         x = x / np.trace(x).real
     # Differences of trace-one Hermitian matrices span n^2 - 1 real
     # dimensions, so more rows than that would make the Gram system singular
-    # by construction. Rows [:stored] hold the latest differences of g and of
-    # f = g - x (Delta g = Delta x + Delta f), filled in order and then
-    # overwritten oldest first from ``head``.
+    # by construction. The ``count``-th difference of g and of f = g - x
+    # (Delta g = Delta x + Delta f) since the last restart goes to row
+    # count % memory, so the latest min(count, memory) rows are filled.
     memory = min(ANDERSON_MEMORY, max(n * n - 1, 1))
     dg = np.empty((memory, 2 * n * n))
     df = np.empty_like(dg)
-    stored = head = restarts = 0
+    count = restarts = 0
     g_prev = f_prev = None
     steps: list[float] = []
     converged = False
@@ -243,13 +240,11 @@ def fixed_point_iterate(
         f = g_real - x.view(np.float64).reshape(-1)
         x = g
         if f_prev is not None:
-            row = stored if stored < memory else head
+            row = count % memory
             np.subtract(g_real, g_prev, out=dg[row])
             np.subtract(f, f_prev, out=df[row])
-            if stored < memory:
-                stored += 1
-            else:
-                head = (head + 1) % memory
+            count += 1
+            stored = min(count, memory)
             dfs = df[:stored]
             ev = None
             try:
@@ -263,7 +258,7 @@ def fixed_point_iterate(
                 x = candidate
             else:
                 restarts += 1
-                stored = head = 0
+                count = 0
         g_prev, f_prev = g_real, f
     x = matcore.hermitian_part(x)
     lam = float(np.trace(_apply_t(phi, x)[0]).real)
@@ -357,7 +352,7 @@ def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> Cop
     if cfg.regularize:
         eps = cfg.reg_eps
         mixed = (1.0 - eps) * rho.mat + eps * np.eye(rho.dim) / rho.dim
-        work = states.DensityMatrix(matcore.hermitian_part(mixed), n, m, _cholesky=True)
+        work = states.DensityMatrix(mixed, n, m, _cholesky=True)
         regularized = True
     else:
         lo, hi = rho.eig_range
@@ -406,13 +401,7 @@ def verify_connection(
 ) -> float:
     """Frobenius distance between the trace-normalized conjugate
     (a* o b*) rho (a o b) and ``chi``."""
-    am = matcore.as_cmatrix(a)
-    bm = matcore.as_cmatrix(b)
-    if am.shape != (rho.dim_a, rho.dim_a):
-        raise ShapeMismatch(f"a has shape {am.shape}, expected ({rho.dim_a}, {rho.dim_a})")
-    if bm.shape != (rho.dim_b, rho.dim_b):
-        raise ShapeMismatch(f"b has shape {bm.shape}, expected ({rho.dim_b}, {rho.dim_b})")
-    k = np.kron(am, bm)
+    k = np.kron(matcore.as_cmatrix(a, rho.dim_a, "a"), matcore.as_cmatrix(b, rho.dim_b, "b"))
     lhs = k.conj().T @ rho.mat @ k
     tr = float(np.trace(lhs).real)
     if tr <= 0.0:
@@ -427,8 +416,8 @@ def copula_invariants(chi: states.DensityMatrix, tol: float = PRECOPULA_TOL) -> 
     precopulas to represent the same copula class."""
     if not states.is_precopula(chi, tol):
         raise NotPrecopula(f"marginals are not uniform within {tol:g}")
-    spectrum = np.sort(np.linalg.eigvalsh(matcore.hermitian_part(chi.mat)))
-    pt = np.sort(np.linalg.eigvalsh(matcore.hermitian_part(states.partial_transpose(chi))))
+    spectrum = np.sort(np.linalg.eigvalsh(chi.mat))
+    pt = np.sort(np.linalg.eigvalsh(states.partial_transpose(chi)))
     sq = chi.mat @ chi.mat
     powers = [float(np.trace(sq).real), float(np.trace(sq @ chi.mat).real)]
     return np.concatenate([spectrum, powers, pt])

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import InvalidInput
 
+INDENT = 2  # spaces per level of object nesting
+
 
 def format_float(x: float) -> str:
     x = float(x)
@@ -21,7 +23,7 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj, parts: list, level: int, indent: int) -> None:
+def _emit(obj, parts: list, level: int) -> None:
     if obj is None:
         parts.append("null")
     elif isinstance(obj, bool):
@@ -38,13 +40,13 @@ def _emit(obj, parts: list, level: int, indent: int) -> None:
         for k, item in enumerate(items):
             if k:
                 parts.append(", ")
-            _emit(item, parts, level, indent)
+            _emit(item, parts, level)
         parts.append("]")
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
-        pad = " " * (indent * (level + 1))
+        pad = " " * (INDENT * (level + 1))
         parts.append("{\n")
         for k, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
@@ -52,17 +54,17 @@ def _emit(obj, parts: list, level: int, indent: int) -> None:
             if k:
                 parts.append(",\n")
             parts.append(pad + json.dumps(key) + ": ")
-            _emit(value, parts, level + 1, indent)
-        parts.append("\n" + " " * (indent * level) + "}")
+            _emit(value, parts, level + 1)
+        parts.append("\n" + " " * (INDENT * level) + "}")
     else:
         raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def canonical_dumps(obj, indent: int = 2) -> str:
+def canonical_dumps(obj) -> str:
     """Serialize ``obj`` deterministically; dicts keep insertion order,
     lists are emitted on one line."""
     parts: list = []
-    _emit(obj, parts, 0, indent)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

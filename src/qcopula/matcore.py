@@ -15,12 +15,17 @@ from .errors import NonFinite, NotHermitian, ShapeMismatch
 HERMITIAN_RTOL = 1e-10
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce ``a`` to a fresh 2-D complex128 array, rejecting NaN/Inf."""
-    m = np.array(a, dtype=np.complex128, copy=True)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got array of ndim {m.ndim}")
-    if not np.all(np.isfinite(m)):
+def as_cmatrix(a, dim: int, what: str) -> np.ndarray:
+    """The one matrix intake: ``a`` as a finite, read-only (dim, dim)
+    complex128 array the caller may keep. A read-only complex128 array that
+    owns its data, such as a checked state's matrix, is returned as it is;
+    anything else is copied."""
+    owned = type(a) is np.ndarray and a.flags.owndata and not a.flags.writeable
+    m = a if owned and a.dtype == np.complex128 else np.array(a, dtype=np.complex128)
+    m.flags.writeable = False
+    if m.shape != (dim, dim):
+        raise ShapeMismatch(f"{what} has shape {m.shape}, expected ({dim}, {dim})")
+    if not np.isfinite(m).all():
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
 

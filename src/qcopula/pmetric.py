@@ -23,31 +23,32 @@ SUPPORT_TOL = 1e-8
 ZERO_FNORM_TOL = 1e-14
 PAIR_SKIP_TOL = 1e-8
 BOUNDARY_WEIGHTS = (1e-2, 1e-4, 1e-6)
+RANK_TOL = 1e-10  # support: eigenvalues above this fraction of the largest
 
 
-def _psd_spectrum(mat, rank_tol: float, what: str):
+def _psd_spectrum(mat, what: str):
     h = matcore.require_hermitian(mat, what=what)
     if float(np.linalg.norm(h)) <= ZERO_FNORM_TOL:
         raise ZeroMatrix(f"{what} is numerically zero")
     w, v = np.linalg.eigh(h)
-    if w[0] < -rank_tol * max(float(w[-1]), 0.0) - ZERO_FNORM_TOL:
+    if w[0] < -RANK_TOL * max(float(w[-1]), 0.0) - ZERO_FNORM_TOL:
         raise NotPSD(f"{what} has negative eigenvalue {w[0]:.3e}")
     return h, w, v
 
 
-def hilbert_distance(a, b, rank_tol: float = 1e-10) -> float:
+def hilbert_distance(a, b) -> float:
     """Projective distance between rays of nonzero PSD matrices.
 
     Scale invariant: d(cA, B) = d(A, B) for c > 0, and d(A, B) = 0 exactly
     when A and B span the same ray. Returns ``math.inf`` when the supports
-    differ (support = span of eigenvectors above ``rank_tol`` relative).
+    differ (support = span of eigenvectors above ``RANK_TOL`` relative).
     """
-    ha, wa, va = _psd_spectrum(a, rank_tol, "a")
-    hb, wb, vb = _psd_spectrum(b, rank_tol, "b")
+    ha, wa, va = _psd_spectrum(a, "a")
+    hb, wb, vb = _psd_spectrum(b, "b")
     if ha.shape != hb.shape:
         raise ShapeMismatch(f"shape mismatch: {ha.shape} vs {hb.shape}")
-    keep_a = wa > rank_tol * wa[-1]
-    keep_b = wb > rank_tol * wb[-1]
+    keep_a = wa > RANK_TOL * wa[-1]
+    keep_b = wb > RANK_TOL * wb[-1]
     ra, rb = int(np.count_nonzero(keep_a)), int(np.count_nonzero(keep_b))
     if ra != rb:
         return math.inf

@@ -34,10 +34,10 @@ PPT_EXACT_DIMS = ((2, 2), (2, 3), (3, 2))
 class DensityMatrix:
     """Hermitian, PSD, trace-one matrix with bipartite dimension metadata.
 
-    ``mat`` is a read-only copy of the input, so ``eig_range``, the smallest
-    and largest eigenvalue of its Hermitian part, stays valid for the
-    object's lifetime. The PSD check is an ``eigvalsh`` floor and records
-    ``eig_range``.
+    ``mat`` is the Hermitian part of the input as a fresh read-only array,
+    so it is exactly Hermitian and ``eig_range``, its smallest and largest
+    eigenvalue, stays valid for the object's lifetime. The PSD check is an
+    ``eigvalsh`` floor and records ``eig_range``.
 
     ``_cholesky=True`` is for the states ``copula_of`` builds from a state
     already checked, by a congruence or a mixture with the identity. These
@@ -56,7 +56,7 @@ class DensityMatrix:
         n, m = int(self.dim_a), int(self.dim_b)
         if n < 1 or m < 1:
             raise InvalidInput("dims: factor dimensions must be positive integers")
-        mat = matcore.as_cmatrix(self.mat)
+        mat = np.asarray(self.mat, dtype=np.complex128)
         d = n * m
         if mat.shape != (d, d):
             raise InvalidInput(
@@ -72,15 +72,15 @@ class DensityMatrix:
             if lo < STATE_EIG_FLOOR:
                 raise NotPSD(f"PSD: minimum eigenvalue {lo:.3e} below {STATE_EIG_FLOOR:g}")
             object.__setattr__(self, "eig_range", (lo, float(w[-1])))
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        h.flags.writeable = False
+        object.__setattr__(self, "mat", h)
         object.__setattr__(self, "dim_a", n)
         object.__setattr__(self, "dim_b", m)
 
     @functools.cached_property
     def eig_range(self) -> tuple[float, float]:
-        """Smallest and largest eigenvalue of the Hermitian part of ``mat``."""
-        w = np.linalg.eigvalsh(matcore.hermitian_part(self.mat))
+        """Smallest and largest eigenvalue of ``mat``."""
+        w = np.linalg.eigvalsh(self.mat)
         return float(w[0]), float(w[-1])
 
     @property
@@ -141,7 +141,7 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
 def ppt_verdict(rho: DensityMatrix) -> SeparabilityVerdict:
     """Peres-Horodecki test on the partial transpose of the second factor."""
-    w = np.linalg.eigvalsh(matcore.hermitian_part(partial_transpose(rho)))
+    w = np.linalg.eigvalsh(partial_transpose(rho))
     lo = float(w[0])
     if lo < PPT_EIG_THRESHOLD:
         tag = ENTANGLED

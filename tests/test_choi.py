@@ -43,6 +43,18 @@ class TestChoiFromState:
         with pytest.raises(ValueError):
             phi.choi[0, 0] = 1.0
 
+    def test_shares_the_state_matrix(self):
+        rho = states.random_full_rank_state(2, 3, 0)
+        phi = choi.choi_from_state(rho)
+        assert phi.choi is rho.mat
+
+    def test_writable_input_is_copied(self):
+        src = np.eye(4, dtype=complex) / 4
+        phi = choi.ChoiOperator(src, 2, 2)
+        assert not np.shares_memory(phi.choi, src)
+        src[0, 0] = 1.0  # the caller's array stays writable and separate
+        assert phi.choi[0, 0] == 0.25
+
     def test_maximally_mixed_is_trace_map(self):
         phi = choi.choi_from_state(states.DensityMatrix(np.eye(4) / 4, 2, 2))
         rng = np.random.default_rng(0)

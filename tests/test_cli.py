@@ -250,6 +250,14 @@ class TestExperimentCommand:
     def test_bad_dims_exits_3(self):
         assert cli.main(["experiment", "lambda", "--dims", "2x3", "--count", "1"]) == 3
 
+    def test_metric_axioms_needs_two_dimensions(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = ["experiment", "metric-axioms", "--dims", "1,1", "--output", str(out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "metric-axioms" in err and "1,1" in err
+        assert not out.exists()
+
 
 class TestInternalErrors:
     """A solve that fails its own verification is a bug, reported as exit 1."""

@@ -1,9 +1,11 @@
 """Tests for the dense complex-matrix kernel."""
 
+import re
+
 import numpy as np
 import pytest
 
-from qcopula import copula, matcore
+from qcopula import choi, copula, matcore, states
 from qcopula.errors import NonFinite, NotHermitian, ShapeMismatch
 
 
@@ -43,6 +45,61 @@ class TestCholeskyLikeFactor:
         a = random_pd(rng, 4)
         psi = pd_factor(a)
         assert matcore.hermitian_defect(psi) <= 1e-12 * matcore.max_abs(psi)
+
+
+def _intake_calls():
+    """(argument name, expected size, call) for every public function that
+    takes a matrix through ``matcore.as_cmatrix``; each call passes ``bad``
+    as that argument and valid values for the rest, at dims (2, 3)."""
+    rho = states.random_full_rank_state(2, 3, 0)
+    phi = choi.choi_from_state(rho)
+    a, b = np.eye(2), np.eye(3)
+    return {
+        "ChoiOperator": ("Choi matrix", 6, lambda bad: choi.ChoiOperator(bad, 2, 3)),
+        "apply": ("input", 2, lambda bad: choi.apply(phi, bad)),
+        "apply_adjoint": ("input", 3, lambda bad: choi.apply_adjoint(phi, bad)),
+        "apply_via_partial_trace": (
+            "input", 2, lambda bad: choi.apply_via_partial_trace(phi, bad)
+        ),
+        "sandwich_transform-a": ("a", 2, lambda bad: choi.sandwich_transform(phi, bad, b)),
+        "sandwich_transform-b": ("b", 3, lambda bad: choi.sandwich_transform(phi, a, bad)),
+        "verify_connection-a": ("a", 2, lambda bad: copula.verify_connection(rho, rho, bad, b)),
+        "verify_connection-b": ("b", 3, lambda bad: copula.verify_connection(rho, rho, a, bad)),
+        "fixed_point_iterate-init": (
+            "init", 2, lambda bad: copula.fixed_point_iterate(phi, init=bad)
+        ),
+    }
+
+
+INTAKE_CALLS = _intake_calls()
+
+
+class TestIntake:
+    @pytest.mark.parametrize("name", INTAKE_CALLS)
+    def test_wrong_shape_names_argument(self, name):
+        what, dim, call = INTAKE_CALLS[name]
+        for bad in (np.eye(dim + 1), np.ones((dim, dim + 1)), np.ones(dim * dim)):
+            message = f"{what} has shape {bad.shape}, expected ({dim}, {dim})"
+            with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+                call(bad)
+
+    @pytest.mark.parametrize("name", INTAKE_CALLS)
+    def test_nan_is_rejected(self, name):
+        _, dim, call = INTAKE_CALLS[name]
+        bad = np.eye(dim, dtype=complex)
+        bad[-1, 0] = np.nan
+        with pytest.raises(NonFinite):
+            call(bad)
+
+    def test_keeps_read_only_owned_array_and_copies_the_rest(self):
+        kept = np.eye(3, dtype=complex)
+        kept.flags.writeable = False
+        assert matcore.as_cmatrix(kept, 3, "m") is kept
+        view = kept[:, :]  # read-only but not owning its data
+        for other in (np.eye(3, dtype=complex), view, np.eye(3), [[1, 0], [0, 1]]):
+            got = matcore.as_cmatrix(other, len(other), "m")
+            assert got.dtype == np.complex128 and not got.flags.writeable
+            assert not np.shares_memory(got, np.asarray(other))
 
 
 class TestRequireHermitian:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcopula import states
+from qcopula import matcore, states
 from qcopula.errors import InvalidInput, NotHermitian, NotPSD
 
 
@@ -105,6 +105,20 @@ class TestDensityMatrix:
     def test_cholesky_route_falls_back_on_rank_deficiency(self):
         rho = states.DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]), 2, 2, _cholesky=True)
         assert vars(rho)["eig_range"] == (0.0, 0.5)
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    def test_defect_inside_tolerance_is_stored_exactly_hermitian(self, cholesky):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 1] = 0.5e-10 * 0.25  # half the Hermitian bound at scale 0.25
+        rho = states.DensityMatrix(mat, 2, 2, _cholesky=cholesky)
+        assert matcore.hermitian_defect(rho.mat) == 0.0
+        np.testing.assert_array_equal(rho.mat, (mat + mat.conj().T) / 2)
+
+    def test_exactly_hermitian_input_keeps_its_bits(self):
+        for seed, (n, m) in enumerate([(2, 2), (2, 3), (3, 3)]):
+            mat = states.wishart_state_matrix(n * m, seed)
+            rho = states.DensityMatrix(mat, n, m)
+            assert rho.mat.tobytes() == mat.tobytes()
 
     def test_matrix_is_read_only_copy(self):
         src = np.eye(4, dtype=complex) / 4
