@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -222,13 +223,27 @@ def _iteration_histogram(counts: list[int]) -> list[list[int]]:
     return [[k, hist[k]] for k in sorted(hist)]
 
 
+class _Suite(NamedTuple):
+    """One experiment suite. ``sample(i)`` draws case i's input, ``solve``
+    maps a list of inputs to their outcomes (a result, or the error its
+    solve raised), ``record(i, input, outcome)`` is case i's document entry
+    and ``agg`` summarizes the entries."""
+
+    sample: Callable
+    solve: Callable
+    record: Callable
+    agg: Callable
+
+
+def _copulas(cfg):
+    return lambda rhos: copmod.copula_batch(rhos, cfg)
+
+
 def _suite_lambda(seed, count, dims, cfg):
     n, m = dims
     target = n / m
 
-    def one(i):
-        rho = states.random_full_rank_state(n, m, seed + i)
-        result = copmod.copula_of(rho, cfg)
+    def record(i, rho, result):
         err = abs(result.report.lam - target)
         return {
             "index": i,
@@ -238,18 +253,21 @@ def _suite_lambda(seed, count, dims, cfg):
             "pass": bool(err <= max(1e-8, cfg.tol)),
         }
 
-    return one, lambda recs: {
-        "max_lambda_error": max(r["lambda_error"] for r in recs),
-        "iteration_histogram": _iteration_histogram([r["iterations"] for r in recs]),
-    }
+    def agg(recs):
+        return {
+            "max_lambda_error": max(r["lambda_error"] for r in recs),
+            "iteration_histogram": _iteration_histogram([r["iterations"] for r in recs]),
+        }
+
+    return _Suite(
+        lambda i: states.random_full_rank_state(n, m, seed + i), _copulas(cfg), record, agg
+    )
 
 
 def _suite_convergence(seed, count, dims, cfg):
     n, m = dims
 
-    def one(i):
-        rho = states.random_full_rank_state(n, m, seed + i)
-        result = copmod.copula_of(rho, cfg)
+    def record(i, rho, result):
         its = result.report.iterations
         return {
             "index": i,
@@ -267,26 +285,25 @@ def _suite_convergence(seed, count, dims, cfg):
             "iteration_histogram": _iteration_histogram(its),
         }
 
-    return one, agg
+    return _Suite(
+        lambda i: states.random_full_rank_state(n, m, seed + i), _copulas(cfg), record, agg
+    )
 
 
 def _suite_preserve_separability(seed, count, dims, cfg):
     n, m = dims
 
-    def one(i):
+    def sample(i):
         if i < count // 2:
-            rho = states.random_separable_state(n, m, terms=2 * n * m, seed=seed + i)
-        else:
-            rng = np.random.default_rng(seed + i)
-            for _ in range(1000):
-                rho = states.random_full_rank_state(n, m, rng)
-                if states.ppt_verdict(rho).tag == states.ENTANGLED:
-                    break
-            else:
-                raise QcopulaError(
-                    f"could not sample an entangled state at dims ({n}, {m})"
-                )
-        result = copmod.copula_of(rho, cfg)
+            return states.random_separable_state(n, m, terms=2 * n * m, seed=seed + i)
+        rng = np.random.default_rng(seed + i)
+        for _ in range(1000):
+            rho = states.random_full_rank_state(n, m, rng)
+            if states.ppt_verdict(rho).tag == states.ENTANGLED:
+                return rho
+        raise QcopulaError(f"could not sample an entangled state at dims ({n}, {m})")
+
+    def record(i, rho, result):
         tag_in = states.ppt_verdict(rho).tag
         tag_out = states.ppt_verdict(result.chi).tag
         return {
@@ -303,21 +320,32 @@ def _suite_preserve_separability(seed, count, dims, cfg):
             "max_marginal_residual": max(r["marginal_residual"] for r in recs),
         }
 
-    return one, agg
+    return _Suite(sample, _copulas(cfg), record, agg)
 
 
 def _suite_uniqueness(seed, count, dims, cfg):
     n, m = dims
     inits = 5
 
-    def one(i):
-        rho = states.random_full_rank_state(n, m, seed + i)
-        phi = choi_from_state(rho)
+    def sample(i):
+        phi = choi_from_state(states.random_full_rank_state(n, m, seed + i))
         rng = np.random.default_rng((seed, i, 7))
+        return phi, [states.wishart_state_matrix(n, rng) for _ in range(inits)]
+
+    def solve(cases):
+        reports = copmod.fixed_point_batch(
+            [phi for phi, starts in cases for _ in starts],
+            tol=cfg.tol,
+            max_iter=cfg.max_iter,
+            inits=[x for _, starts in cases for x in starts],
+        )
+        return [reports[k : k + inits] for k in range(0, len(reports), inits)]
+
+    def record(i, case, reports):
         rays = []
-        for _ in range(inits):
-            init = states.wishart_state_matrix(n, rng)
-            rep = copmod.fixed_point_iterate(phi, tol=cfg.tol, max_iter=cfg.max_iter, init=init)
+        for rep in reports:
+            if isinstance(rep, QcopulaError):
+                raise rep
             if not rep.converged:
                 return {"index": i, "max_ray_gap": math.inf, "pass": False}
             rays.append(rep.phi_ray)
@@ -327,7 +355,7 @@ def _suite_uniqueness(seed, count, dims, cfg):
     def agg(recs):
         return {"max_ray_gap": max(r["max_ray_gap"] for r in recs)}
 
-    return one, agg
+    return _Suite(sample, solve, record, agg)
 
 
 def _suite_metric_axioms(seed, count, dims, cfg):
@@ -336,7 +364,7 @@ def _suite_metric_axioms(seed, count, dims, cfg):
         # the support check compares two orthogonal rank-one projectors
         raise QcopulaError(f"metric-axioms needs n*m >= 2, got dims {dims[0]},{dims[1]}")
 
-    def one(i):
+    def record(i, _case, _outcome):
         rng = np.random.default_rng((seed, i))
         a = states.wishart_state_matrix(d, rng)
         b = states.wishart_state_matrix(d, rng)
@@ -380,7 +408,8 @@ def _suite_metric_axioms(seed, count, dims, cfg):
             "max_inversion_gap": max(r["inversion_gap"] for r in recs),
         }
 
-    return one, agg
+    # no solve: each case's work is its record
+    return _Suite(lambda i: None, list, record, agg)
 
 
 _SUITE_BUILDERS = {
@@ -390,6 +419,32 @@ _SUITE_BUILDERS = {
     "uniqueness": _suite_uniqueness,
     "metric-axioms": _suite_metric_axioms,
 }
+
+
+def _sample(suite: _Suite, i: int):
+    try:
+        return suite.sample(i)
+    except Exception as exc:  # raised again in case order by _run_cases
+        return exc
+
+
+def _run_cases(suite: _Suite, count: int, chunk: int) -> list[dict]:
+    """Every case's record, solving ``chunk`` cases at a time. A case whose
+    sampling or solve failed raises that error when its turn in case order
+    comes, as a case-by-case run would."""
+    records = []
+    for lo in range(0, count, chunk):
+        cases = range(lo, min(lo + chunk, count))
+        inputs = [_sample(suite, i) for i in cases]
+        outcomes = iter(suite.solve([x for x in inputs if not isinstance(x, Exception)]))
+        for i, case in zip(cases, inputs):
+            if isinstance(case, Exception):
+                raise case
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            records.append(suite.record(i, case, outcome))
+    return records
 
 
 def cmd_experiment(args) -> int:
@@ -402,9 +457,11 @@ def cmd_experiment(args) -> int:
     cfg = _resolve_config(args)
     if args.count < 1:
         raise QcopulaError("count must be >= 1")
-    one, agg = _SUITE_BUILDERS[args.suite](args.seed, args.count, dims, cfg)
+    if args.seed < 0:
+        raise QcopulaError(f"--seed must be >= 0, got {args.seed}")
+    suite = _SUITE_BUILDERS[args.suite](args.seed, args.count, dims, cfg)
     start = time.perf_counter()
-    records = [one(i) for i in range(args.count)]
+    records = _run_cases(suite, args.count, copmod.batch_chunk(*dims))
     timing_ms = (time.perf_counter() - start) * 1000.0
     passed = sum(1 for r in records if r["pass"])
     doc = {
@@ -412,12 +469,12 @@ def cmd_experiment(args) -> int:
         "seed": args.seed,
         "count": args.count,
         "dims": list(dims),
-        "workers": 1,  # cases run serially; the key keeps the document schema
+        "workers": 1,  # one process; the key keeps the document schema
         "config": cfg.to_dict(),
         "passed": passed,
         "failed": args.count - passed,
         "all_passed": passed == args.count,
-        "aggregates": agg(records),
+        "aggregates": suite.agg(records),
         "timing_ms": timing_ms,
         "cases": records,
     }

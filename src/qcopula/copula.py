@@ -25,6 +25,7 @@ from .errors import (
     NotConverged,
     NotPrecopula,
     PrecopulaCheckFailed,
+    QcopulaError,
     RankDeficient,
     SingularIntermediate,
     VerificationFailed,
@@ -35,6 +36,8 @@ SCALING_EQ_RTOL = 1e-9
 PRECOPULA_TOL = 1e-8
 ROUNDING_EPS = float(np.finfo(np.float64).eps)
 ANDERSON_MEMORY = 4  # differences the fixed-point extrapolation keeps
+BATCH_CHUNK = 64  # most states one stacked solve holds
+BATCH_CHUNK_BYTES = 1 << 20  # most bytes their stacked realigned maps take
 
 _CONFIG_FIELDS = ("tol", "marginal_tol", "max_iter", "rank_tol", "regularize", "reg_eps")
 
@@ -126,23 +129,29 @@ class CopulaResult:
     reg_eps: float = 0.0
 
 
+def _singular(context: str, w: np.ndarray) -> SingularIntermediate:
+    """The error for a spectrum ``w`` (ascending) below the relative floor."""
+    return SingularIntermediate(
+        f"{context}: eigenvalue {w[0]:.3e} below {SINGULAR_EIG_RTOL:g} of maximum "
+        f"{w[-1]:.3e}; the input state is likely near rank deficiency "
+        "(consider regularize=True)"
+    )
+
+
 def _eig_pd(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, v) of a Hermitian positive-definite matrix, read from
     its lower triangle as ``eigh`` does; eigenvalues below the relative
     floor signal a near-rank-deficient input upstream."""
     w, v = np.linalg.eigh(mat)
     if w[-1] <= 0.0 or w[0] <= SINGULAR_EIG_RTOL * w[-1]:
-        raise SingularIntermediate(
-            f"{context}: eigenvalue {w[0]:.3e} below {SINGULAR_EIG_RTOL:g} of maximum "
-            f"{w[-1]:.3e}; the input state is likely near rank deficiency "
-            "(consider regularize=True)"
-        )
+        raise _singular(context, w)
     return w, v
 
 
 def _pd_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """v diag(w^p) v*, the power p of the PD matrix with eigenpairs (w, v)."""
-    return (v * w**p) @ v.conj().T
+    """v diag(w^p) v*, the power p of the PD matrix with eigenpairs (w, v),
+    or of each matrix in a stack."""
+    return (v * w[..., None, :] ** p) @ v.conj().swapaxes(-1, -2)
 
 
 def _inv_pd(mat: np.ndarray, context: str) -> np.ndarray:
@@ -179,6 +188,31 @@ def _step_to_inverse(x: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     return math.log(ev[-1] / ev[0]) if ev[0] > 0.0 else math.inf
 
 
+def _check_stopping(tol: float, max_iter: int) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
+def _initial_ray(n: int, init) -> np.ndarray:
+    """The trace-one starting iterate: I/n, or ``init`` once checked to be
+    Hermitian positive definite."""
+    if init is None:
+        return np.eye(n, dtype=np.complex128) / n
+    x = matcore.require_hermitian(matcore.as_cmatrix(init, n, "init"), what="init")
+    if np.linalg.eigvalsh(x)[0] <= 0.0:
+        raise ValueError("init must be positive definite")
+    return x / np.trace(x).real
+
+
+def _anderson_memory(n: int) -> int:
+    """Differences the extrapolation keeps at input dimension n. Differences
+    of trace-one Hermitian matrices span n^2 - 1 real dimensions, so more
+    rows than that would make the Gram system singular by construction."""
+    return min(ANDERSON_MEMORY, max(n * n - 1, 1))
+
+
 def fixed_point_iterate(
     phi: choimod.ChoiOperator,
     tol: float = 1e-12,
@@ -203,24 +237,13 @@ def fixed_point_iterate(
     have started from. ``lam`` is read off from a single extra application
     of T to the trace-one ray.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    _check_stopping(tol, max_iter)
     n = phi.dim_in
-    if init is None:
-        x = np.eye(n, dtype=np.complex128) / n
-    else:
-        x = matcore.require_hermitian(matcore.as_cmatrix(init, n, "init"), what="init")
-        if np.linalg.eigvalsh(x)[0] <= 0.0:
-            raise ValueError("init must be positive definite")
-        x = x / np.trace(x).real
-    # Differences of trace-one Hermitian matrices span n^2 - 1 real
-    # dimensions, so more rows than that would make the Gram system singular
-    # by construction. The ``count``-th difference of g and of f = g - x
-    # (Delta g = Delta x + Delta f) since the last restart goes to row
-    # count % memory, so the latest min(count, memory) rows are filled.
-    memory = min(ANDERSON_MEMORY, max(n * n - 1, 1))
+    x = _initial_ray(n, init)
+    # The ``count``-th difference of g and of f = g - x (Delta g = Delta x +
+    # Delta f) since the last restart goes to row count % memory, so the
+    # latest min(count, memory) rows are filled.
+    memory = _anderson_memory(n)
     dg = np.empty((memory, 2 * n * n))
     df = np.empty_like(dg)
     count = restarts = 0
@@ -272,6 +295,230 @@ def fixed_point_iterate(
         tol=tol,
         restarts=restarts,
     )
+
+
+def batch_chunk(n: int, m: int) -> int:
+    """States one stacked solve at dims (n, m) holds: ``BATCH_CHUNK``, fewer
+    where their realigned maps would pass ``BATCH_CHUNK_BYTES``. Past that
+    the stack streams from memory each step and runs no faster than the
+    serial loop, which a chunk of one state runs."""
+    return max(1, min(BATCH_CHUNK, BATCH_CHUNK_BYTES // (16 * (n * m) ** 2)))
+
+
+def _drop_singular(keep, w, v, context: str, errors: dict):
+    """The states of a stack whose spectrum ``w`` passes the floor of
+    ``_eig_pd``; the others' errors go to ``errors`` by position in
+    ``keep``."""
+    bad = (w[:, -1] <= 0.0) | (w[:, 0] <= SINGULAR_EIG_RTOL * w[:, -1])
+    if not bad.any():
+        return keep, w, v
+    for k in np.flatnonzero(bad):
+        errors[int(keep[k])] = _singular(context, w[k])
+    ok = ~bad
+    return keep[ok], w[ok], v[ok]
+
+
+def _apply_t_stack(r: np.ndarray, x: np.ndarray):
+    """``_apply_t`` on stacked realigned maps ``r`` (S, n^2, m^2) and
+    iterates ``x`` (S, n, n), with the same floors.
+
+    Returns (keep, t, w, v, errors): ``keep`` holds the positions of the
+    states that passed both floors, t, w and v are theirs, and ``errors``
+    maps each other position to the ``SingularIntermediate`` ``_apply_t``
+    raises. A state failing the forward floor is dropped before the adjoint
+    step, so its inverse never reaches a stacked ``eigh``.
+    """
+    size, n = x.shape[0], x.shape[1]
+    m = math.isqrt(r.shape[2])
+    errors: dict = {}
+    w, v = np.linalg.eigh((x.reshape(size, 1, n * n) @ r).reshape(size, m, m))
+    keep, w, v = _drop_singular(np.arange(size), w, v, "forward image", errors)
+    if len(keep) < size:
+        r = r[keep]
+    forward = _pd_power(w, v, -1.0).reshape(-1, m * m, 1)
+    w, v = np.linalg.eigh(np.conj(r @ np.conj(forward)).reshape(-1, n, n))
+    keep, w, v = _drop_singular(keep, w, v, "adjoint image", errors)
+    return keep, _pd_power(w, v, -1.0), w, v, errors
+
+
+def _per_state(fn, out_shape, *stacks):
+    """``fn`` on stacked arguments, and a mask of the states it succeeded
+    on. Where the stacked call raises ``LinAlgError``, each state is tried
+    alone, so only the states that fail alone fail."""
+    try:
+        return fn(*stacks), np.ones(out_shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros(out_shape)
+    ok = np.zeros(out_shape[0], dtype=bool)
+    for k in range(out_shape[0]):
+        try:
+            out[k] = fn(*(s[k] for s in stacks))
+            ok[k] = True
+        except np.linalg.LinAlgError:
+            pass
+    return out, ok
+
+
+def _extrapolate(dg, df, stored, g_real, f, g):
+    """The Anderson step of ``fixed_point_iterate`` for each running state:
+    the next iterates, and which states' extrapolants were accepted.
+
+    States with equally many stored differences share one stacked Gram
+    system, so every state's solve has the shape it has in the serial loop;
+    until a restart that is one group.
+    """
+    n = g.shape[1]
+    x = g
+    accepted = np.zeros(len(g), dtype=bool)
+    for k in np.unique(stored).tolist():
+        idx = np.flatnonzero(stored == k)
+        sel = slice(None) if len(idx) == len(g) else idx
+        dfs = df[sel, :k]
+        gram = dfs @ dfs.swapaxes(1, 2)
+        rhs = dfs @ f[sel, :, None]
+        gamma, ok = _per_state(np.linalg.solve, rhs.shape, gram, rhs)
+        cand = g_real[sel] - (gamma.swapaxes(1, 2) @ dg[sel, :k])[:, 0]
+        cand = cand.view(np.complex128).reshape(-1, n, n)
+        ok &= np.isfinite(cand).all(axis=(1, 2))
+        if ok.any():
+            ev, solved = _per_state(np.linalg.eigvalsh, (int(ok.sum()), n), cand[ok])
+            ok[ok] = solved & (ev[:, 0] > SINGULAR_EIG_RTOL * ev[:, -1])
+        if ok.any():
+            if x is g:
+                x = g.copy()
+            x[idx[ok]] = cand[ok]
+            accepted[idx[ok]] = True
+    return x, accepted
+
+
+def _take(keep, *arrays):
+    """Each array's entries at ``keep``; None stays None."""
+    return [None if a is None else a[keep] for a in arrays]
+
+
+def _fixed_point_stack(r: np.ndarray, x: np.ndarray, tol: float, max_iter: int) -> list:
+    """``fixed_point_iterate`` on stacked realigned maps ``r`` (S, n^2, m^2)
+    from stacked trace-one iterates ``x`` (S, n, n). Each state takes the
+    serial loop's steps, with every numpy call broadcast over the states
+    still running; a state leaves the stack when it converges or fails.
+    Returns a ``FixedPointReport`` or ``SingularIntermediate`` per state."""
+    size, n = x.shape[0], x.shape[1]
+    memory = _anderson_memory(n)
+    width = 2 * n * n
+    out: list = [None] * size
+    steps: list[list[float]] = [[] for _ in range(size)]
+    finished = []  # (position, iterate, iterations, converged, restarts)
+    ids = np.arange(size)
+    live_r = r
+    dg = np.zeros((size, memory, width))
+    df = np.zeros_like(dg)
+    count = np.zeros(size, dtype=np.intp)
+    restarts = np.zeros(size, dtype=np.intp)
+    g_prev = f_prev = None
+    iterations = 0
+    while len(ids) and iterations < max_iter:
+        iterations += 1
+        keep, t, w, v, errors = _apply_t_stack(live_r, x)
+        if errors:
+            for k, exc in errors.items():
+                out[ids[k]] = exc
+            live_r, x, dg, df, count, restarts, ids, g_prev, f_prev = _take(
+                keep, live_r, x, dg, df, count, restarts, ids, g_prev, f_prev
+            )
+        s = np.sqrt(w)
+        ev = np.linalg.eigvalsh((v.conj().swapaxes(1, 2) @ x @ v) * (s[:, :, None] * s[:, None, :]))
+        step = [
+            math.log(hi / lo) if lo > 0.0 else math.inf
+            for lo, hi in zip(ev[:, 0].tolist(), ev[:, -1].tolist())
+        ]
+        for k, value in zip(ids.tolist(), step):
+            steps[k].append(value)
+        g = t / np.trace(t, axis1=1, axis2=2).real[:, None, None]
+        done = np.array(step) <= tol
+        if done.any():
+            finished += [
+                (ids[k], g[k], iterations, True, restarts[k]) for k in np.flatnonzero(done)
+            ]
+            live_r, x, g, dg, df, count, restarts, ids, g_prev, f_prev = _take(
+                ~done, live_r, x, g, dg, df, count, restarts, ids, g_prev, f_prev
+            )
+        g_real = g.view(np.float64).reshape(len(ids), width)
+        f = g_real - x.view(np.float64).reshape(len(ids), width)
+        x = g
+        if f_prev is not None:
+            live = np.arange(len(ids))
+            rows = count % memory
+            dg[live, rows] = g_real - g_prev
+            df[live, rows] = f - f_prev
+            count += 1
+            x, accepted = _extrapolate(dg, df, np.minimum(count, memory), g_real, f, g)
+            restarts[~accepted] += 1
+            count[~accepted] = 0
+        g_prev, f_prev = g_real, f
+    finished += [(ids[k], x[k], iterations, False, restarts[k]) for k in range(len(ids))]
+    if not finished:
+        return out
+    pos = [item[0] for item in finished]
+    rays = matcore.hermitian_part(np.stack([item[1] for item in finished]))
+    keep, t, _, _, errors = _apply_t_stack(r[pos], rays)
+    for k, exc in errors.items():
+        out[pos[k]] = exc
+    lams = np.trace(t, axis1=1, axis2=2).real
+    for k, lam in zip(keep.tolist(), lams.tolist()):
+        p, _, its, converged, rest = finished[k]
+        out[p] = FixedPointReport(
+            phi_ray=rays[k],
+            lam=lam,
+            iterations=its,
+            final_step=steps[p][-1],
+            converged=converged,
+            step_history=np.asarray(steps[p]),
+            tol=tol,
+            restarts=int(rest),
+        )
+    return out
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the ``QcopulaError`` it raises."""
+    try:
+        return fn(*args)
+    except QcopulaError as exc:
+        return exc
+
+
+def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None) -> list:
+    """``fixed_point_iterate`` for many operators of one dims, solved in
+    stacked chunks of ``batch_chunk`` states.
+
+    Entry k is, bit for bit, the report ``fixed_point_iterate(phis[k], tol,
+    max_iter, inits[k])`` returns, or the ``SingularIntermediate`` it
+    raises: one state's failure stays its own. Bad settings and inits raise
+    ``ValueError`` as there. A chunk of one state, like a single solve,
+    runs the serial loop, which is faster than a batch of one.
+    """
+    _check_stopping(tol, max_iter)
+    phis = list(phis)
+    inits = [None] * len(phis) if inits is None else list(inits)
+    if len(inits) != len(phis):
+        raise ValueError(f"got {len(inits)} inits for {len(phis)} operators")
+    if not phis:
+        return []
+    n, m = phis[0].dim_in, phis[0].dim_out
+    if any((phi.dim_in, phi.dim_out) != (n, m) for phi in phis):
+        raise ValueError("a batch needs operators of one dims")
+    size = batch_chunk(n, m)
+    out = []
+    for lo in range(0, len(phis), size):
+        chunk, starts = phis[lo : lo + size], inits[lo : lo + size]
+        if len(chunk) == 1:
+            out.append(_attempt(fixed_point_iterate, chunk[0], tol, max_iter, starts[0]))
+            continue
+        r = np.stack([phi._realigned for phi in chunk])
+        x = np.stack([_initial_ray(n, init) for init in starts])
+        out += _fixed_point_stack(r, x, tol, max_iter)
+    return out
 
 
 def scaling_equation_residuals(
@@ -335,34 +582,32 @@ def _out_of_reach(work: states.DensityMatrix, report: FixedPointReport, message:
         )
 
 
-def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> CopulaResult:
-    """Compute the uniform-marginal representative connected to ``rho``.
-
-    Requires a full-rank input; with ``cfg.regularize`` the state is first
-    mixed with eps * I/(nm) and the result is (explicitly) the copula of
-    the perturbed state. Settings out of range raise ``InvalidInput``.
-    A missed verification bound raises ``NotConverged`` if tol is below
-    eps * cond(state), and otherwise the check's own error, a bug.
-    """
-    cfg = SolverConfig() if cfg is None else cfg
-    cfg._check_ranges()
-    n, m = rho.dim_a, rho.dim_b
-    work = rho
-    regularized = False
+def _prepare(rho: states.DensityMatrix, cfg: SolverConfig) -> tuple[states.DensityMatrix, bool]:
+    """The state the solve runs on, and whether it is regularized: ``rho``
+    mixed with reg_eps * I/(nm) under ``cfg.regularize``, else ``rho`` once
+    its eigenvalue floor passes the rank check."""
     if cfg.regularize:
         eps = cfg.reg_eps
         mixed = (1.0 - eps) * rho.mat + eps * np.eye(rho.dim) / rho.dim
-        work = states.DensityMatrix(mixed, n, m, _cholesky=True)
-        regularized = True
-    else:
-        lo, hi = rho.eig_range
-        if lo <= cfg.rank_tol * max(hi, 0.0):
-            raise RankDeficient(
-                f"state eigenvalue floor {lo:.3e} is below rank_tol={cfg.rank_tol:g} "
-                f"of the top eigenvalue; pass regularize=True to proceed on a perturbed state"
-            )
-    phi = choimod.choi_from_state(work)
-    report = fixed_point_iterate(phi, tol=cfg.tol, max_iter=cfg.max_iter)
+        return states.DensityMatrix(mixed, rho.dim_a, rho.dim_b, _cholesky=True), True
+    lo, hi = rho.eig_range
+    if lo <= cfg.rank_tol * max(hi, 0.0):
+        raise RankDeficient(
+            f"state eigenvalue floor {lo:.3e} is below rank_tol={cfg.rank_tol:g} "
+            f"of the top eigenvalue; pass regularize=True to proceed on a perturbed state"
+        )
+    return rho, False
+
+
+def _finish(
+    work: states.DensityMatrix,
+    regularized: bool,
+    phi: choimod.ChoiOperator,
+    report: FixedPointReport,
+    cfg: SolverConfig,
+) -> CopulaResult:
+    """The copula of ``work`` from the fixed-point run on its map ``phi``:
+    scaler extraction, conjugation, chi's Cholesky and the marginal check."""
     if not report.converged:
         raise NotConverged(
             f"fixed point not reached in {cfg.max_iter} iterations "
@@ -379,7 +624,7 @@ def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> Cop
     raw /= np.trace(raw).real
     # chi is congruent to the checked state by an invertible matrix, so it is
     # positive definite (Sylvester's law of inertia); Cholesky confirms it.
-    chi = states.DensityMatrix(raw, n, m, _cholesky=True)
+    chi = states.DensityMatrix(raw, work.dim_a, work.dim_b, _cholesky=True)
     residual = max(states.marginal_residuals(chi))
     marginal_bound = max(cfg.marginal_tol, report.tol)
     if residual > marginal_bound:
@@ -394,6 +639,45 @@ def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> Cop
         regularized=regularized,
         reg_eps=cfg.reg_eps if regularized else 0.0,
     )
+
+
+def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> CopulaResult:
+    """Compute the uniform-marginal representative connected to ``rho``.
+
+    Requires a full-rank input; with ``cfg.regularize`` the state is first
+    mixed with eps * I/(nm) and the result is (explicitly) the copula of
+    the perturbed state. Settings out of range raise ``InvalidInput``.
+    A missed verification bound raises ``NotConverged`` if tol is below
+    eps * cond(state), and otherwise the check's own error, a bug.
+    """
+    cfg = SolverConfig() if cfg is None else cfg
+    cfg._check_ranges()
+    work, regularized = _prepare(rho, cfg)
+    phi = choimod.choi_from_state(work)
+    report = fixed_point_iterate(phi, tol=cfg.tol, max_iter=cfg.max_iter)
+    return _finish(work, regularized, phi, report, cfg)
+
+
+def copula_batch(rhos, cfg: SolverConfig | None = None) -> list:
+    """``copula_of`` for many states of one dims, with their fixed points
+    solved by one ``fixed_point_batch``.
+
+    Entry k is, bit for bit, what ``copula_of(rhos[k], cfg)`` returns, or
+    the ``QcopulaError`` it raises. Settings out of range raise
+    ``InvalidInput`` for the whole batch.
+    """
+    cfg = SolverConfig() if cfg is None else cfg
+    cfg._check_ranges()
+    out = [_attempt(_prepare, rho, cfg) for rho in rhos]
+    ready = [k for k, item in enumerate(out) if not isinstance(item, QcopulaError)]
+    phis = [choimod.choi_from_state(out[k][0]) for k in ready]
+    reports = fixed_point_batch(phis, tol=cfg.tol, max_iter=cfg.max_iter)
+    for k, phi, report in zip(ready, phis, reports):
+        if isinstance(report, QcopulaError):
+            out[k] = report
+        else:
+            out[k] = _attempt(_finish, *out[k], phi, report, cfg)
+    return out
 
 
 def verify_connection(

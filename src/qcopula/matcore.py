@@ -35,7 +35,8 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    """(a + a*)/2, of one matrix or of each in a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hermitian_defect(a: np.ndarray) -> float:

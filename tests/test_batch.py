@@ -1,0 +1,167 @@
+"""The batched fixed-point solver against the serial one, bit for bit and
+state by state."""
+
+import numpy as np
+import pytest
+
+from qcopula import choi, copula, states
+from qcopula.errors import QcopulaError, SingularIntermediate
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def assert_same_report(got, want):
+    assert bits(got.phi_ray) == bits(want.phi_ray)
+    assert bits(got.step_history) == bits(want.step_history)
+    for name in ("lam", "iterations", "final_step", "converged", "tol", "restarts"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def serial_copula(rho, cfg=None):
+    try:
+        return copula.copula_of(rho, cfg)
+    except QcopulaError as exc:
+        return exc
+
+
+def assert_same_copula(got, want):
+    if isinstance(want, QcopulaError):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        return
+    assert_same_report(got.report, want.report)
+    assert bits(got.chi.mat) == bits(want.chi.mat)
+    assert bits(got.scalers.psi0) == bits(want.scalers.psi0)
+    assert bits(got.scalers.psi1) == bits(want.scalers.psi1)
+    assert got.marginal_residual == want.marginal_residual
+
+
+def operators(n, m, seeds):
+    return [choi.choi_from_state(states.random_full_rank_state(n, m, s)) for s in seeds]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_copulas_match_serial(self, dims):
+        rhos = [states.random_full_rank_state(*dims, seed) for seed in range(200)]
+        for got, rho in zip(copula.copula_batch(rhos), rhos):
+            assert_same_copula(got, serial_copula(rho))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_uniqueness_inits_match_serial(self, dims):
+        # the starting points the uniqueness suite draws for each case
+        n, m = dims
+        phis, inits = [], []
+        for i, phi in enumerate(operators(n, m, range(20))):
+            rng = np.random.default_rng((0, i, 7))
+            for _ in range(5):
+                phis.append(phi)
+                inits.append(states.wishart_state_matrix(n, rng))
+        got = copula.fixed_point_batch(phis, inits=inits)
+        for report, phi, init in zip(got, phis, inits):
+            assert_same_report(report, copula.fixed_point_iterate(phi, init=init))
+
+    def test_chunks_match_serial(self, monkeypatch):
+        monkeypatch.setattr(copula, "BATCH_CHUNK", 7)
+        rhos = [states.random_full_rank_state(2, 3, seed) for seed in range(20)]
+        for got, rho in zip(copula.copula_batch(rhos), rhos):
+            assert_same_copula(got, serial_copula(rho))
+
+    def test_chunk_shrinks_with_dims(self):
+        assert copula.batch_chunk(2, 2) == copula.BATCH_CHUNK
+        assert copula.batch_chunk(16, 16) == 1
+
+    def test_chunk_of_one_runs_the_serial_loop(self, monkeypatch):
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a chunk of one was stacked")
+
+        monkeypatch.setattr(copula, "_fixed_point_stack", no_stack)
+        phi = operators(2, 2, [0])[0]
+        (got,) = copula.fixed_point_batch([phi])
+        assert_same_report(got, copula.fixed_point_iterate(phi))
+
+    def test_single_solves_stay_serial(self, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("the batch was called")
+
+        monkeypatch.setattr(copula, "fixed_point_batch", no_batch)
+        monkeypatch.setattr(copula, "_fixed_point_stack", no_batch)
+        rho = states.random_full_rank_state(2, 2, 0)
+        assert copula.copula_of(rho).report.converged
+        assert copula.fixed_point_iterate(choi.choi_from_state(rho)).converged
+
+
+class TestOwnFailures:
+    """One state's failure is its own; its neighbours match the serial run."""
+
+    @pytest.mark.parametrize(
+        "bad, dims",
+        [
+            # Phi(I/2) = 1/2 is invertible, but Phi*(2) = diag(2, 0) is not
+            (choi.ChoiOperator(np.diag([1.0, 0.0]), 2, 1), (2, 1)),
+            # the forward image of I/2 is singular: dropped before the adjoint step
+            (choi.ChoiOperator(np.diag([1.0, 0.0, 0.0, 0.0]), 2, 2), (2, 2)),
+        ],
+        ids=["adjoint-image", "forward-image"],
+    )
+    def test_singular_state_between_good_ones(self, bad, dims):
+        first, last = operators(*dims, (0, 1))
+        got = copula.fixed_point_batch([first, bad, last])
+        with pytest.raises(SingularIntermediate) as serial:
+            copula.fixed_point_iterate(bad)
+        assert type(got[1]) is SingularIntermediate
+        assert str(got[1]) == str(serial.value)
+        assert_same_report(got[0], copula.fixed_point_iterate(first))
+        assert_same_report(got[2], copula.fixed_point_iterate(last))
+
+    def test_failed_gram_solves_fall_back_to_the_plain_contraction(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        phis = operators(2, 2, (153, 154, 155))
+        got = copula.fixed_point_batch(phis)
+        assert got[1].iterations == 268
+        for report, phi in zip(got, phis):
+            assert_same_report(report, copula.fixed_point_iterate(phi))
+
+    def test_state_dependent_restarts(self, monkeypatch):
+        # A Gram system fails on its own bits, so restarts hit some states
+        # and not others, and their memories fill unevenly.
+        original = np.linalg.solve
+
+        def flaky(a, b):
+            if (np.ascontiguousarray(a[..., 0, 0]).view(np.uint64) % 4 == 0).any():
+                raise np.linalg.LinAlgError("singular matrix")
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        phis = operators(3, 3, range(40))
+        got = copula.fixed_point_batch(phis)
+        serial = [copula.fixed_point_iterate(phi) for phi in phis]
+        assert len({report.restarts for report in serial}) > 2
+        for report, want in zip(got, serial):
+            assert_same_report(report, want)
+
+    def test_only_the_slow_state_stops_unconverged(self):
+        # seed 3 at (2,2) takes 11 steps, seeds 0..7 otherwise at most 10
+        phis = operators(2, 2, range(8))
+        got = copula.fixed_point_batch(phis, max_iter=10)
+        assert [report.converged for report in got] == [k != 3 for k in range(8)]
+        for report, phi in zip(got, phis):
+            assert_same_report(report, copula.fixed_point_iterate(phi, max_iter=10))
+
+    def test_rank_check_and_settings_per_state(self):
+        deficient = states.DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), 2, 2)
+        good = [states.random_full_rank_state(2, 2, seed) for seed in (0, 1)]
+        rhos = [good[0], deficient, good[1]]
+        for cfg in (None, copula.SolverConfig(regularize=True), copula.SolverConfig(tol=1e-6)):
+            for got, rho in zip(copula.copula_batch(rhos, cfg), rhos):
+                assert_same_copula(got, serial_copula(rho, cfg))
+
+    def test_mixed_dims_are_refused(self):
+        with pytest.raises(ValueError, match="one dims"):
+            copula.fixed_point_batch(operators(2, 2, [0]) + operators(2, 3, [0]))

@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from qcopula import cli, states
-from qcopula.errors import PrecopulaCheckFailed, VerificationFailed
+from qcopula import cli, copula, states
+from qcopula.errors import NotConverged, PrecopulaCheckFailed, QcopulaError, VerificationFailed
 from qcopula.jsonio import canonical_dumps
 
 
@@ -259,16 +260,118 @@ class TestExperimentCommand:
         assert not out.exists()
 
 
+class TestBatchedSuites:
+    """The solver suites solve in batches; their documents, exit codes and
+    errors stay those of a case-by-case run."""
+
+    @staticmethod
+    def run(argv, tmp_path, name="out.json"):
+        out = tmp_path / name
+        code = cli.main([*argv, "--output", str(out)])
+        doc = json.loads(out.read_text()) if out.exists() else None
+        return code, doc
+
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            ("convergence", []),
+            ("preserve-separability", ["--dims", "2,3"]),
+            ("uniqueness", ["--dims", "3,3"]),
+            ("lambda", ["--dims", "3,2"]),
+            ("convergence", ["--regularize"]),
+            ("uniqueness", ["--tol", "1e-6"]),
+        ],
+    )
+    def test_documents_match_case_by_case_solves(self, tmp_path, monkeypatch, suite, flags):
+        argv = ["experiment", suite, "--count", "12", "--seed", "5", *flags]
+        code, doc = self.run(argv, tmp_path, "batch.json")
+        copula_of, fixed_point_iterate = cli.copmod.copula_of, cli.copmod.fixed_point_iterate
+
+        def serial(fn, *args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except QcopulaError as exc:
+                return exc
+
+        def copulas(rhos, cfg):
+            return [serial(copula_of, rho, cfg) for rho in rhos]
+
+        def fixed_points(phis, tol, max_iter, inits):
+            return [
+                serial(fixed_point_iterate, phi, tol=tol, max_iter=max_iter, init=init)
+                for phi, init in zip(phis, inits)
+            ]
+
+        monkeypatch.setattr(cli.copmod, "copula_batch", copulas)
+        monkeypatch.setattr(cli.copmod, "fixed_point_batch", fixed_points)
+        want_code, want = self.run(argv, tmp_path, "serial.json")
+        assert code == want_code
+        del doc["timing_ms"], want["timing_ms"]
+        assert doc == want
+
+    def test_timing_covers_the_solves(self, tmp_path, monkeypatch):
+        batch = cli.copmod.copula_batch
+
+        def slow_batch(rhos, cfg):
+            time.sleep(0.3)
+            return batch(rhos, cfg)
+
+        monkeypatch.setattr(cli.copmod, "copula_batch", slow_batch)
+        code, doc = self.run(["experiment", "convergence", "--count", "3"], tmp_path)
+        assert code == 0
+        assert doc["timing_ms"] >= 300.0
+
+    def test_not_converged_reports_the_first_case(self, tmp_path, capsys):
+        code, doc = self.run(
+            ["experiment", "convergence", "--count", "3", "--max-iter", "2"], tmp_path
+        )
+        cfg = copula.SolverConfig(max_iter=2)
+        with pytest.raises(NotConverged) as serial:
+            copula.copula_of(states.random_full_rank_state(2, 2, 0), cfg)
+        assert code == 2
+        assert doc is None
+        assert capsys.readouterr().err == f"error: {serial.value}\n"
+
+    @pytest.mark.parametrize("sample_fails_first", [True, False])
+    def test_errors_surface_in_case_order(self, tmp_path, monkeypatch, capsys, sample_fails_first):
+        # one case fails to sample and another fails its solve; the earlier
+        # case's error is the one reported, as in a case-by-case run
+        sampler = states.random_full_rank_state
+        deficient = states.DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), 2, 2)
+        bad_sample, bad_solve = (1, 2) if sample_fails_first else (2, 1)
+
+        def sample(n, m, seed):
+            if seed == bad_sample:
+                raise QcopulaError("injected sampling failure")
+            return deficient if seed == bad_solve else sampler(n, m, seed)
+
+        monkeypatch.setattr(cli.states, "random_full_rank_state", sample)
+        code, _ = self.run(["experiment", "convergence", "--count", "4"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("injected sampling failure" in err) == sample_fails_first
+        assert ("rank_tol" in err) != sample_fails_first
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_negative_seed_is_invalid_usage(self, tmp_path, capsys, suite):
+        code, doc = self.run(["experiment", suite, "--seed", "-5", "--count", "2"], tmp_path)
+        assert code == 3
+        assert doc is None
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestInternalErrors:
     """A solve that fails its own verification is a bug, reported as exit 1."""
 
     @pytest.mark.parametrize("error", [VerificationFailed, PrecopulaCheckFailed])
     @pytest.mark.parametrize("command", ["copula", "experiment"])
     def test_verification_failures_exit_1(self, tmp_path, monkeypatch, capsys, error, command):
-        def failing_copula_of(*args, **kwargs):
+        # injected into the scaler extraction, which the single solve and the
+        # suites' batched solve share
+        def failing_extract_scalers(*args, **kwargs):
             raise error("injected failure")
 
-        monkeypatch.setattr(cli.copmod, "copula_of", failing_copula_of)
+        monkeypatch.setattr(cli.copmod, "extract_scalers", failing_extract_scalers)
         if command == "copula":
             argv = ["copula", write_json(tmp_path / "in.json", maximally_mixed_doc())]
         else:
