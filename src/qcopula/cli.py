@@ -339,17 +339,36 @@ def _suite_uniqueness(seed, count, dims, cfg):
             max_iter=cfg.max_iter,
             inits=[x for _, starts in cases for x in starts],
         )
-        return [reports[k : k + inits] for k in range(0, len(reports), inits)]
+        runs = [reports[k : k + inits] for k in range(0, len(reports), inits)]
+        solved = [
+            all(not isinstance(rep, QcopulaError) and rep.converged for rep in reps)
+            for reps in runs
+        ]
+        # every converged case's ray gaps, d(ray 0, ray j) for j >= 1, in one call
+        firsts = [reps[0].phi_ray for reps, ok in zip(runs, solved) if ok for _ in reps[1:]]
+        others = [rep.phi_ray for reps, ok in zip(runs, solved) if ok for rep in reps[1:]]
+        gaps = iter(pmetric.hilbert_distances(firsts, others))
+        return [
+            (reps, [next(gaps) for _ in reps[1:]] if ok else None)
+            for reps, ok in zip(runs, solved)
+        ]
 
-    def record(i, case, reports):
-        rays = []
-        for rep in reports:
+    def record(i, case, outcome):
+        reports, gaps = outcome
+        for j, rep in enumerate(reports):
             if isinstance(rep, QcopulaError):
                 raise rep
             if not rep.converged:
-                return {"index": i, "max_ray_gap": math.inf, "pass": False}
-            rays.append(rep.phi_ray)
-        gap = max(pmetric.hilbert_distance(rays[0], ray) for ray in rays[1:])
+                raise NotConverged(
+                    f"uniqueness case {i}: init {j} did not reach the fixed point in "
+                    f"{rep.iterations} iterations (last step {rep.final_step:.3e} > "
+                    f"tol {cfg.tol:g})",
+                    report=rep,
+                )
+        for d in gaps:
+            if isinstance(d, QcopulaError):
+                raise d
+        gap = max(gaps)
         return {"index": i, "max_ray_gap": gap, "pass": bool(gap <= 1e-8)}
 
     def agg(recs):
@@ -364,25 +383,35 @@ def _suite_metric_axioms(seed, count, dims, cfg):
         # the support check compares two orthogonal rank-one projectors
         raise QcopulaError(f"metric-axioms needs n*m >= 2, got dims {dims[0]},{dims[1]}")
 
-    def record(i, _case, _outcome):
+    def sample(i):
         rng = np.random.default_rng((seed, i))
         a = states.wishart_state_matrix(d, rng)
         b = states.wishart_state_matrix(d, rng)
         c = states.wishart_state_matrix(d, rng)
-        dab = pmetric.hilbert_distance(a, b)
-        dba = pmetric.hilbert_distance(b, a)
-        dac = pmetric.hilbert_distance(a, c)
-        dbc = pmetric.hilbert_distance(b, c)
-        sym = abs(dab - dba)
-        triangle = dac - (dab + dbc)
-        scale = abs(pmetric.hilbert_distance(float(rng.uniform(1e-3, 1e3)) * a, b) - dab)
-        inv_gap = abs(
-            pmetric.hilbert_distance(np.linalg.inv(a), np.linalg.inv(b)) - dab
-        )
+        factor = float(rng.uniform(1e-3, 1e3))
         u = states.random_haar_unitary(d, rng)
         p1 = np.outer(u[:, 0], u[:, 0].conj())
         p2 = np.outer(u[:, 1], u[:, 1].conj())
-        infinite = math.isinf(pmetric.hilbert_distance(p1, p2))
+        return a, b, c, factor, p1, p2
+
+    def solve(cases):
+        # per case: d(a,b), d(b,a), d(a,c), d(b,c), d(f a, b), d(a^-1, b^-1),
+        # d(p1, p2), or the first error among them; one stacked call each
+        a, b, c, factor, p1, p2 = (np.array(x) for x in zip(*cases))
+        pairs = [
+            (a, b), (b, a), (a, c), (b, c), (factor[:, None, None] * a, b),
+            (np.linalg.inv(a), np.linalg.inv(b)), (p1, p2),
+        ]
+        rows = zip(*(pmetric.hilbert_distances(x, y) for x, y in pairs))
+        return [next((d for d in row if isinstance(d, QcopulaError)), row) for row in rows]
+
+    def record(i, _case, distances):
+        dab, dba, dac, dbc, d_scaled, d_inv, d_proj = distances
+        sym = abs(dab - dba)
+        triangle = dac - (dab + dbc)
+        scale = abs(d_scaled - dab)
+        inv_gap = abs(d_inv - dab)
+        infinite = math.isinf(d_proj)
         ok = (
             sym <= 1e-10
             and triangle <= 1e-10
@@ -408,8 +437,7 @@ def _suite_metric_axioms(seed, count, dims, cfg):
             "max_inversion_gap": max(r["inversion_gap"] for r in recs),
         }
 
-    # no solve: each case's work is its record
-    return _Suite(lambda i: None, list, record, agg)
+    return _Suite(sample, solve, record, agg)
 
 
 _SUITE_BUILDERS = {

@@ -305,17 +305,45 @@ def batch_chunk(n: int, m: int) -> int:
     return max(1, min(BATCH_CHUNK, BATCH_CHUNK_BYTES // (16 * (n * m) ** 2)))
 
 
-def _drop_singular(keep, w, v, context: str, errors: dict):
-    """The states of a stack whose spectrum ``w`` passes the floor of
-    ``_eig_pd``; the others' errors go to ``errors`` by position in
-    ``keep``."""
-    bad = (w[:, -1] <= 0.0) | (w[:, 0] <= SINGULAR_EIG_RTOL * w[:, -1])
-    if not bad.any():
-        return keep, w, v
-    for k in np.flatnonzero(bad):
-        errors[int(keep[k])] = _singular(context, w[k])
-    ok = ~bad
-    return keep[ok], w[ok], v[ok]
+def _drop_singular(keep, floors, errors: dict, *arrays) -> list:
+    """``keep`` and each of ``arrays`` at the states of a stack whose spectra
+    pass the floor of ``_eig_pd``. ``floors`` holds (context, w) pairs in
+    the order a single state is checked; each other state's error, at its
+    first failing floor, goes to ``errors`` by position in ``keep``. The
+    floor is tested on Python floats, as cheap for a stack of one as
+    ``_eig_pd``'s test and for a full chunk as a vectorized one."""
+    bad: set = set()
+    for context, w in floors:
+        for k, (lo, hi) in enumerate(zip(w[:, 0].tolist(), w[:, -1].tolist())):
+            if (hi <= 0.0 or lo <= SINGULAR_EIG_RTOL * hi) and k not in bad:
+                errors[int(keep[k])] = _singular(context, w[k])
+                bad.add(k)
+    if not bad:
+        return [keep, *arrays]
+    ok = np.ones(len(keep), dtype=bool)
+    ok[list(bad)] = False
+    return _take(ok, keep, *arrays)
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """``np.stack(arrays)``; a stack of one is a view of its C-ordered array."""
+    if len(arrays) == 1:
+        return np.ascontiguousarray(arrays[0])[None]
+    return np.stack(arrays)
+
+
+def _forward_stack(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Phi(X) for stacked realigned maps ``r`` (S, n^2, m^2) and X (S, n, n);
+    S may be 0."""
+    m = math.isqrt(r.shape[2])
+    return (x.reshape(len(x), 1, r.shape[1]) @ r).reshape(-1, m, m)
+
+
+def _adjoint_stack(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Phi*(Y) for stacked realigned maps ``r`` and Y (S, m, m), as
+    ``ChoiOperator._apply_adjoint`` computes it; S may be 0."""
+    n = math.isqrt(r.shape[1])
+    return np.conj(r @ np.conj(y.reshape(len(y), r.shape[2], 1))).reshape(-1, n, n)
 
 
 def _apply_t_stack(r: np.ndarray, x: np.ndarray):
@@ -328,16 +356,11 @@ def _apply_t_stack(r: np.ndarray, x: np.ndarray):
     raises. A state failing the forward floor is dropped before the adjoint
     step, so its inverse never reaches a stacked ``eigh``.
     """
-    size, n = x.shape[0], x.shape[1]
-    m = math.isqrt(r.shape[2])
     errors: dict = {}
-    w, v = np.linalg.eigh((x.reshape(size, 1, n * n) @ r).reshape(size, m, m))
-    keep, w, v = _drop_singular(np.arange(size), w, v, "forward image", errors)
-    if len(keep) < size:
-        r = r[keep]
-    forward = _pd_power(w, v, -1.0).reshape(-1, m * m, 1)
-    w, v = np.linalg.eigh(np.conj(r @ np.conj(forward)).reshape(-1, n, n))
-    keep, w, v = _drop_singular(keep, w, v, "adjoint image", errors)
+    w, v = np.linalg.eigh(_forward_stack(r, x))
+    keep, w, v, r = _drop_singular(np.arange(len(x)), [("forward image", w)], errors, w, v, r)
+    w, v = np.linalg.eigh(_adjoint_stack(r, _pd_power(w, v, -1.0)))
+    keep, w, v = _drop_singular(keep, [("adjoint image", w)], errors, w, v)
     return keep, _pd_power(w, v, -1.0), w, v, errors
 
 
@@ -521,19 +544,73 @@ def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None
     return out
 
 
+def _scaling_residuals(r, phi0, phi1, inv0, inv1) -> list:
+    """Relative Frobenius residuals (forward, adjoint) of the two defining
+    equations for each stacked scaling pair, given inv_k = phi_k^{-1}. Each
+    norm is taken on one state's matrix, as a single residual takes it."""
+    n, m = phi0.shape[-1], phi1.shape[-1]
+    rhs1 = inv1 / m
+    rhs2 = phi0 / n
+    miss1 = _forward_stack(r, inv0) - rhs1
+    miss2 = _adjoint_stack(r, phi1) - rhs2
+    norm = np.linalg.norm
+    return [
+        (float(norm(a) / norm(b)), float(norm(c) / norm(d)))
+        for a, b, c, d in zip(miss1, rhs1, miss2, rhs2)
+    ]
+
+
 def scaling_equation_residuals(
     phi: choimod.ChoiOperator, phi0: np.ndarray, phi1: np.ndarray
 ) -> tuple[float, float]:
     """Relative Frobenius residuals of the two defining equations for the
     scaling pair."""
-    n, m = phi.dim_in, phi.dim_out
-    lhs1 = choimod.apply(phi, _inv_pd(phi0, "phi0"))
-    rhs1 = _inv_pd(phi1, "phi1") / m
-    res1 = float(np.linalg.norm(lhs1 - rhs1) / np.linalg.norm(rhs1))
-    lhs2 = choimod.apply_adjoint(phi, phi1)
-    rhs2 = phi0 / n
-    res2 = float(np.linalg.norm(lhs2 - rhs2) / np.linalg.norm(rhs2))
-    return res1, res2
+    phi0 = matcore.as_cmatrix(phi0, phi.dim_in, "phi0")
+    phi1 = matcore.as_cmatrix(phi1, phi.dim_out, "phi1")
+    inv0, inv1 = _inv_pd(phi0, "phi0"), _inv_pd(phi1, "phi1")
+    (res,) = _scaling_residuals(
+        phi._realigned[None], phi0[None], phi1[None], inv0[None], inv1[None]
+    )
+    return res
+
+
+def _scalers_stack(r: np.ndarray, rays: np.ndarray, tol: float):
+    """``extract_scalers`` for stacked realigned maps ``r`` (S, n^2, m^2)
+    and converged rays (S, n, n), each state checked as a single extraction
+    checks it and in the same order: the floors of the forward image, phi0
+    and phi1, then the scaling equations.
+
+    Returns (keep, scalers, errors): the positions that passed, their
+    ``ScalerPair``s, and the ``SingularIntermediate`` or
+    ``VerificationFailed`` of each other position.
+    """
+    n, m = rays.shape[1], math.isqrt(r.shape[2])
+    errors: dict = {}
+    w1, v1 = np.linalg.eigh(_forward_stack(r, rays))
+    keep = np.arange(len(rays))
+    keep, w1, v1, r = _drop_singular(keep, [("forward image", w1)], errors, w1, v1, r)
+    phi1 = matcore.hermitian_part(_pd_power(w1, v1, -1.0) / m)
+    phi0 = matcore.hermitian_part(n * _adjoint_stack(r, phi1))
+    w0, v0 = np.linalg.eigh(phi0)
+    wi, vi = np.linalg.eigh(phi1)
+    keep, r, phi0, phi1, w0, v0, w1, v1, wi, vi = _drop_singular(
+        keep, [("phi0", w0), ("phi1", wi)], errors, r, phi0, phi1, w0, v0, w1, v1, wi, vi
+    )
+    res = _scaling_residuals(r, phi0, phi1, _pd_power(w0, v0, -1.0), _pd_power(wi, vi, -1.0))
+    psi0 = _pd_power(w0, v0, 0.5)
+    psi1 = _pd_power(m * w1, v1, -0.5)
+    bound = max(SCALING_EQ_RTOL, tol)
+    passed, scalers = [], []
+    for j, (res1, res2) in enumerate(res):
+        if res1 > bound or res2 > bound:
+            errors[int(keep[j])] = VerificationFailed(
+                f"scaling equations missed {bound:g} relative: "
+                f"forward {res1:.3e}, adjoint {res2:.3e}"
+            )
+        else:
+            passed.append(int(keep[j]))
+            scalers.append(ScalerPair(phi0[j], phi1[j], psi0[j], psi1[j], res1, res2))
+    return passed, scalers, errors
 
 
 def extract_scalers(phi: choimod.ChoiOperator, report: FixedPointReport) -> ScalerPair:
@@ -542,24 +619,15 @@ def extract_scalers(phi: choimod.ChoiOperator, report: FixedPointReport) -> Scal
     phi1 = (1/m) (Phi(phi_ray))^{-1} and phi0 = n Phi*(phi1); both defining
     equations are re-checked before returning, at the run's stopping
     tolerance or 1e-9 relative, whichever is looser. psi1 reuses the
-    eigenpairs phi1 is built from; psi0 takes one eigendecomposition of phi0.
+    eigenpairs phi1 is built from, and psi0 the eigenpairs of phi0 that the
+    check inverts phi0 with. A stack of one through ``_scalers_stack``.
     """
     if not report.converged:
         raise NotConverged("scaling matrices require a converged fixed point", report=report)
-    n, m = phi.dim_in, phi.dim_out
-    w1, v1 = _eig_pd(phi._apply(report.phi_ray), "forward image")
-    phi1 = matcore.hermitian_part(_pd_power(w1, v1, -1.0) / m)
-    phi0 = matcore.hermitian_part(n * phi._apply_adjoint(phi1))
-    res1, res2 = scaling_equation_residuals(phi, phi0, phi1)
-    bound = max(SCALING_EQ_RTOL, report.tol)
-    if res1 > bound or res2 > bound:
-        raise VerificationFailed(
-            f"scaling equations missed {bound:g} relative: "
-            f"forward {res1:.3e}, adjoint {res2:.3e}"
-        )
-    psi0 = _pd_power(*_eig_pd(phi0, "phi0"), 0.5)
-    psi1 = _pd_power(m * w1, v1, -0.5)
-    return ScalerPair(phi0, phi1, psi0, psi1, res1, res2)
+    _, scalers, errors = _scalers_stack(phi._realigned[None], report.phi_ray[None], report.tol)
+    if errors:
+        raise errors[0]
+    return scalers[0]
 
 
 def connection_matrices(scalers: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
@@ -582,46 +650,32 @@ def _out_of_reach(work: states.DensityMatrix, report: FixedPointReport, message:
         )
 
 
-def _prepare(rho: states.DensityMatrix, cfg: SolverConfig) -> tuple[states.DensityMatrix, bool]:
-    """The state the solve runs on, and whether it is regularized: ``rho``
-    mixed with reg_eps * I/(nm) under ``cfg.regularize``, else ``rho`` once
-    its eigenvalue floor passes the rank check."""
+def _prepare(rho: states.DensityMatrix, cfg: SolverConfig) -> states.DensityMatrix:
+    """The state the solve runs on: ``rho`` mixed with reg_eps * I/(nm)
+    under ``cfg.regularize``, else ``rho`` once its eigenvalue floor passes
+    the rank check."""
     if cfg.regularize:
         eps = cfg.reg_eps
         mixed = (1.0 - eps) * rho.mat + eps * np.eye(rho.dim) / rho.dim
-        return states.DensityMatrix(mixed, rho.dim_a, rho.dim_b, _cholesky=True), True
+        return states.DensityMatrix(mixed, rho.dim_a, rho.dim_b, _cholesky=True)
     lo, hi = rho.eig_range
     if lo <= cfg.rank_tol * max(hi, 0.0):
         raise RankDeficient(
             f"state eigenvalue floor {lo:.3e} is below rank_tol={cfg.rank_tol:g} "
             f"of the top eigenvalue; pass regularize=True to proceed on a perturbed state"
         )
-    return rho, False
+    return rho
 
 
-def _finish(
+def _checked_copula(
     work: states.DensityMatrix,
-    regularized: bool,
-    phi: choimod.ChoiOperator,
+    raw: np.ndarray,
+    scalers: ScalerPair,
     report: FixedPointReport,
     cfg: SolverConfig,
 ) -> CopulaResult:
-    """The copula of ``work`` from the fixed-point run on its map ``phi``:
-    scaler extraction, conjugation, chi's Cholesky and the marginal check."""
-    if not report.converged:
-        raise NotConverged(
-            f"fixed point not reached in {cfg.max_iter} iterations "
-            f"(last step {report.final_step:.3e} > tol {cfg.tol:g})",
-            report=report,
-        )
-    try:
-        scalers = extract_scalers(phi, report)
-    except VerificationFailed as exc:
-        _out_of_reach(work, report, str(exc))
-        raise
-    a, b = connection_matrices(scalers)
-    raw = matcore.hermitian_part(matcore.local_congruence(work.mat, a.conj().T, b.conj().T))
-    raw /= np.trace(raw).real
+    """The copula of ``work`` from its trace-one conjugate ``raw``, once
+    chi's Cholesky and the marginal check pass."""
     # chi is congruent to the checked state by an invertible matrix, so it is
     # positive definite (Sylvester's law of inertia); Cholesky confirms it.
     chi = states.DensityMatrix(raw, work.dim_a, work.dim_b, _cholesky=True)
@@ -636,9 +690,55 @@ def _finish(
         scalers=scalers,
         report=report,
         marginal_residual=residual,
-        regularized=regularized,
-        reg_eps=cfg.reg_eps if regularized else 0.0,
+        regularized=cfg.regularize,
+        reg_eps=cfg.reg_eps if cfg.regularize else 0.0,
     )
+
+
+def _finish_stack(items: list, cfg: SolverConfig) -> list:
+    """The copulas of states of one dims from their fixed-point runs.
+
+    ``items`` holds (work, phi, report) triples: the state a solve ran on,
+    its map and the run's report. Entry k is the ``CopulaResult`` of item k
+    or the error of the first check it fails, in this order: a run short of
+    tol (``NotConverged``), a floor of ``_scalers_stack``, the scaling
+    equations (``VerificationFailed``, or ``NotConverged`` where tol is out
+    of rounding's reach), chi's construction and the marginals. The
+    eigendecompositions, inverses and the conjugation run on stacks of the
+    states still in; chi and the marginals are checked state by state.
+    """
+    out: list = [None] * len(items)
+    for k, (_, _, report) in enumerate(items):
+        if not report.converged:
+            out[k] = NotConverged(
+                f"fixed point not reached in {cfg.max_iter} iterations "
+                f"(last step {report.final_step:.3e} > tol {cfg.tol:g})",
+                report=report,
+            )
+    live = [k for k, item in enumerate(out) if item is None]
+    if not live:
+        return out
+    r = _stack([items[k][1]._realigned for k in live])
+    rays = _stack([items[k][2].phi_ray for k in live])
+    keep, scalers, errors = _scalers_stack(r, rays, cfg.tol)
+    for j, exc in errors.items():
+        work, _, report = items[live[j]]
+        if isinstance(exc, VerificationFailed):
+            exc = _attempt(_out_of_reach, work, report, str(exc)) or exc
+        out[live[j]] = exc
+    live = [live[j] for j in keep]
+    if not live:
+        return out
+    # (a* o b*) for the connection (a, b): a* = (psi0^{-1})^T and b* = psi1
+    a_star = np.linalg.inv(_stack([s.psi0 for s in scalers])).swapaxes(-1, -2)
+    b_star = _stack([s.psi1 for s in scalers])
+    mats = _stack([items[k][0].mat for k in live])
+    raw = matcore.hermitian_part(matcore.local_congruence(mats, a_star, b_star))
+    raw /= np.trace(raw, axis1=1, axis2=2).real[:, None, None]
+    for k, chi_raw, pair in zip(live, raw, scalers):
+        work, _, report = items[k]
+        out[k] = _attempt(_checked_copula, work, chi_raw, pair, report, cfg)
+    return out
 
 
 def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> CopulaResult:
@@ -652,15 +752,19 @@ def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> Cop
     """
     cfg = SolverConfig() if cfg is None else cfg
     cfg._check_ranges()
-    work, regularized = _prepare(rho, cfg)
+    work = _prepare(rho, cfg)
     phi = choimod.choi_from_state(work)
     report = fixed_point_iterate(phi, tol=cfg.tol, max_iter=cfg.max_iter)
-    return _finish(work, regularized, phi, report, cfg)
+    (result,) = _finish_stack([(work, phi, report)], cfg)
+    if isinstance(result, QcopulaError):
+        raise result
+    return result
 
 
 def copula_batch(rhos, cfg: SolverConfig | None = None) -> list:
     """``copula_of`` for many states of one dims, with their fixed points
-    solved by one ``fixed_point_batch``.
+    solved by one ``fixed_point_batch`` and their tails finished in stacks
+    of ``batch_chunk`` states.
 
     Entry k is, bit for bit, what ``copula_of(rhos[k], cfg)`` returns, or
     the ``QcopulaError`` it raises. Settings out of range raise
@@ -670,13 +774,20 @@ def copula_batch(rhos, cfg: SolverConfig | None = None) -> list:
     cfg._check_ranges()
     out = [_attempt(_prepare, rho, cfg) for rho in rhos]
     ready = [k for k, item in enumerate(out) if not isinstance(item, QcopulaError)]
-    phis = [choimod.choi_from_state(out[k][0]) for k in ready]
+    phis = [choimod.choi_from_state(out[k]) for k in ready]
     reports = fixed_point_batch(phis, tol=cfg.tol, max_iter=cfg.max_iter)
+    solved = []
     for k, phi, report in zip(ready, phis, reports):
         if isinstance(report, QcopulaError):
             out[k] = report
         else:
-            out[k] = _attempt(_finish, *out[k], phi, report, cfg)
+            solved.append((k, (out[k], phi, report)))
+    if solved:
+        size = batch_chunk(phis[0].dim_in, phis[0].dim_out)
+        for lo in range(0, len(solved), size):
+            part = solved[lo : lo + size]
+            for (k, _), result in zip(part, _finish_stack([item for _, item in part], cfg)):
+                out[k] = result
     return out
 
 

@@ -70,12 +70,48 @@ def require_hermitian(
     return hermitian_part(m)
 
 
+def hermitian_parts(mats, rtol: float = HERMITIAN_RTOL, what: str = "matrix") -> list:
+    """``require_hermitian`` for many matrices: entry k is what
+    ``require_hermitian(mats[k], rtol, what)`` returns, or the error it
+    raises. Finite square matrices of one shape are checked as a stack,
+    where each largest magnitude and defect is the single call's value (a
+    maximum does not depend on the order it is taken in); a matrix the stack
+    does not pass is checked alone, for its error."""
+    out = [np.asarray(a, dtype=np.complex128) for a in mats]
+    shapes: dict = {}
+    for k, m in enumerate(out):
+        if m.ndim == 2 and m.shape[0] == m.shape[1]:
+            shapes.setdefault(m.shape, []).append(k)
+    passed = set()
+    for idx in shapes.values():
+        m = np.stack([out[k] for k in idx])
+        scale = np.abs(m).max(axis=(1, 2), initial=0.0)
+        finite = np.isfinite(scale)
+        if not finite.all():
+            idx = [k for k, ok in zip(idx, finite.tolist()) if ok]
+            m, scale = m[finite], scale[finite]
+        defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
+        for k, h, bad in zip(idx, hermitian_part(m), (defect > rtol * scale).tolist()):
+            if not bad:
+                out[k] = h
+                passed.add(k)
+    for k, a in enumerate(mats):
+        if k not in passed:
+            try:
+                out[k] = require_hermitian(a, rtol, what)
+            except (ShapeMismatch, NonFinite, NotHermitian) as exc:
+                out[k] = exc
+    return out
+
+
 def local_congruence(mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a o b) mat (a o b)* for an (nm) x (nm) ``mat``, n x n ``a`` and m x m
-    ``b``, without forming the Kronecker product: on the (n, m, n, m) view
+    ``b``, or for each (mat, a, b) of three stacks with the same leading
+    axes, without forming the Kronecker product: on the (n, m, n, m) view
     of ``mat``, a, b, conj(a) and conj(b) each act on one index."""
-    n, m = a.shape[0], b.shape[0]
-    t = (a @ mat.reshape(n, -1)).reshape(n, m, n * m)
-    t = (b @ t).reshape(n * m, n, m)
-    t = (a.conj() @ t).reshape(-1, m)
-    return (t @ b.conj().T).reshape(n * m, n * m)
+    n, m = a.shape[-1], b.shape[-1]
+    lead = mat.shape[:-2]
+    t = (a @ mat.reshape(*lead, n, -1)).reshape(*lead, n, m, n * m)
+    t = (b[..., None, :, :] @ t).reshape(*lead, n * m, n, m)
+    t = (a.conj()[..., None, :, :] @ t).reshape(*lead, -1, m)
+    return (t @ b.conj().swapaxes(-1, -2)).reshape(*lead, n * m, n * m)

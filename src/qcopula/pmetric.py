@@ -3,8 +3,10 @@
 The distance between two PSD matrices with common support is
 log(max/min) over the spectrum of B^{-1/2} A B^{-1/2} restricted to the
 support; matrices with different supports are infinitely far apart.
-Also provides Monte-Carlo lower-bound estimators for the projective
-diameter and the contraction ratio of a positive map.
+``hilbert_distances`` computes it for many pairs on stacked matrices, and
+``hilbert_distance`` is its stack of one. Also provides Monte-Carlo
+lower-bound estimators for the projective diameter and the contraction
+ratio of a positive map.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import matcore, states
 from .choi import ChoiOperator, apply
-from .errors import InfiniteDistance, NotPSD, ShapeMismatch, ZeroMatrix
+from .errors import InfiniteDistance, NotPSD, QcopulaError, ShapeMismatch, ZeroMatrix
 
 ProjectiveDistance = float  # finite value or math.inf for mismatched supports
 
@@ -26,14 +28,107 @@ BOUNDARY_WEIGHTS = (1e-2, 1e-4, 1e-6)
 RANK_TOL = 1e-10  # support: eigenvalues above this fraction of the largest
 
 
-def _psd_spectrum(mat, what: str):
-    h = matcore.require_hermitian(mat, what=what)
-    if float(np.linalg.norm(h)) <= ZERO_FNORM_TOL:
-        raise ZeroMatrix(f"{what} is numerically zero")
-    w, v = np.linalg.eigh(h)
-    if w[0] < -RANK_TOL * max(float(w[-1]), 0.0) - ZERO_FNORM_TOL:
-        raise NotPSD(f"{what} has negative eigenvalue {w[0]:.3e}")
-    return h, w, v
+def _spectra(mats, what: str):
+    """The checks and eigendecompositions ``hilbert_distance`` makes of each
+    matrix. Returns (out, stacks): ``out[k]`` is the error matrix k fails
+    on, in the single call's order (``matcore.hermitian_parts``, a
+    numerically zero matrix, a negative eigenvalue), or (n, row, rank) for
+    a matrix that passes; ``stacks[n]`` holds the Hermitian parts and
+    eigenpairs (h, w, v) of the size-n matrices that reached ``eigh``, and
+    rank counts the eigenvalues above ``RANK_TOL`` of the largest. The
+    Frobenius norm is taken matrix by matrix."""
+    hs = matcore.hermitian_parts(mats, what=what)
+    out = list(hs)
+    sizes: dict = {}
+    for k, h in enumerate(hs):
+        if isinstance(h, QcopulaError):
+            continue
+        if float(np.linalg.norm(h)) <= ZERO_FNORM_TOL:
+            out[k] = ZeroMatrix(f"{what} is numerically zero")
+        else:
+            sizes.setdefault(h.shape[0], []).append(k)
+    stacks = {}
+    for n, idx in sizes.items():
+        h = np.stack([hs[k] for k in idx])
+        w, v = np.linalg.eigh(h)
+        stacks[n] = (h, w, v)
+        ranks = np.count_nonzero(w > RANK_TOL * w[:, -1:], axis=1).tolist()
+        lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
+        for row, (k, lo, hi, rank) in enumerate(zip(idx, lows, highs, ranks)):
+            if lo < -RANK_TOL * max(hi, 0.0) - ZERO_FNORM_TOL:
+                out[k] = NotPSD(f"{what} has negative eigenvalue {lo:.3e}")
+            else:
+                out[k] = (n, row, rank)
+    return out, stacks
+
+
+def _rows(stack: np.ndarray, rows: list) -> np.ndarray:
+    """``stack[rows]``, without a copy when rows are all of it in order."""
+    return stack if rows == list(range(len(stack))) else stack[rows]
+
+
+def _support(v: np.ndarray, rank: int) -> np.ndarray:
+    """The eigenvectors of the top ``rank`` eigenvalues of each stacked
+    spectrum, as contiguous (S, n, rank) columns."""
+    return np.ascontiguousarray(v[..., v.shape[-1] - rank :])
+
+
+def _same_rank_distances(ha, va, wb, vb, rank: int) -> list:
+    """Distances of stacked pairs of one size whose supports both have rank
+    ``rank``, from a's Hermitian parts and eigenvectors and b's eigenpairs:
+    inf where the supports differ, else log(max/min) over the spectrum of
+    the whitened a on b's support."""
+    n = ha.shape[-1]
+    basis = _support(vb, rank)
+    same = np.ones(len(ha), dtype=bool)
+    if rank < n:
+        ua = _support(va, rank)
+        pa = ua @ ua.conj().swapaxes(-1, -2)
+        pb = basis @ basis.conj().swapaxes(-1, -2)
+        same = ~(np.linalg.norm(pa - pb, 2, axis=(1, 2)) > SUPPORT_TOL)
+    a_r = basis.conj().swapaxes(-1, -2) @ ha @ basis
+    s = 1.0 / np.sqrt(wb[:, n - rank :])
+    ev = np.linalg.eigvalsh(matcore.hermitian_part(a_r * s[:, None, :] * s[:, :, None]))
+    # one state's numpy scalar at a time: an array log may round differently
+    return [
+        float(np.log(w[-1] / w[0])) if ok and w[0] > 0.0 else math.inf
+        for ok, w in zip(same.tolist(), ev)
+    ]
+
+
+def hilbert_distances(a_mats, b_mats) -> list:
+    """``hilbert_distance`` of each pair (a_mats[k], b_mats[k]).
+
+    Entry k is, bit for bit, the distance ``hilbert_distance(a_mats[k],
+    b_mats[k])`` returns, or the ``QcopulaError`` it raises: a's checks come
+    before b's, then the shapes. The Hermitian checks and eigendecompositions
+    run on stacks of one shape, the whitening on stacks of one shape and
+    support rank; the Frobenius norms and the logarithms are taken one
+    matrix at a time.
+    """
+    a_mats, b_mats = list(a_mats), list(b_mats)
+    if len(a_mats) != len(b_mats):
+        raise ValueError(f"got {len(a_mats)} matrices a for {len(b_mats)} matrices b")
+    (a_side, a_stacks), (b_side, b_stacks) = _spectra(a_mats, "a"), _spectra(b_mats, "b")
+    out: list = []
+    groups: dict = {}
+    for k, (a, b) in enumerate(zip(a_side, b_side)):
+        if isinstance(a, QcopulaError) or isinstance(b, QcopulaError):
+            out.append(a if isinstance(a, QcopulaError) else b)
+        elif a[0] != b[0]:
+            out.append(ShapeMismatch(f"shape mismatch: {(a[0], a[0])} vs {(b[0], b[0])}"))
+        elif a[2] != b[2]:
+            out.append(math.inf)
+        else:
+            out.append(None)
+            groups.setdefault((a[0], a[2]), []).append((k, a[1], b[1]))
+    for (n, rank), members in groups.items():
+        ks, rows_a, rows_b = (list(x) for x in zip(*members))
+        ha, _, va = (_rows(x, rows_a) for x in a_stacks[n])
+        _, wb, vb = (_rows(x, rows_b) for x in b_stacks[n])
+        for k, d in zip(ks, _same_rank_distances(ha, va, wb, vb, rank)):
+            out[k] = d
+    return out
 
 
 def hilbert_distance(a, b) -> float:
@@ -43,29 +138,10 @@ def hilbert_distance(a, b) -> float:
     when A and B span the same ray. Returns ``math.inf`` when the supports
     differ (support = span of eigenvectors above ``RANK_TOL`` relative).
     """
-    ha, wa, va = _psd_spectrum(a, "a")
-    hb, wb, vb = _psd_spectrum(b, "b")
-    if ha.shape != hb.shape:
-        raise ShapeMismatch(f"shape mismatch: {ha.shape} vs {hb.shape}")
-    keep_a = wa > RANK_TOL * wa[-1]
-    keep_b = wb > RANK_TOL * wb[-1]
-    ra, rb = int(np.count_nonzero(keep_a)), int(np.count_nonzero(keep_b))
-    if ra != rb:
-        return math.inf
-    full = ra == ha.shape[0]
-    if not full:
-        pa = va[:, keep_a] @ va[:, keep_a].conj().T
-        pb = vb[:, keep_b] @ vb[:, keep_b].conj().T
-        if float(np.linalg.norm(pa - pb, 2)) > SUPPORT_TOL:
-            return math.inf
-    basis = vb[:, keep_b]
-    a_r = basis.conj().T @ ha @ basis
-    s = 1.0 / np.sqrt(wb[keep_b])
-    mid = matcore.hermitian_part(a_r * s[None, :] * s[:, None])
-    w = np.linalg.eigvalsh(mid)
-    if w[0] <= 0.0:
-        return math.inf
-    return float(np.log(w[-1] / w[0]))
+    (d,) = hilbert_distances([a], [b])
+    if isinstance(d, QcopulaError):
+        raise d
+    return d
 
 
 def _sample_state_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -23,15 +23,12 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def batch_runs():
-    """200 random full-rank states per dims, solved once and reused."""
+    """200 random full-rank states per dims, solved once and reused. The
+    batch returns, bit for bit, what copula_of does (tests/test_batch.py)."""
     runs = {}
-    for dims in BATCH_DIMS:
-        n, m = dims
-        cases = []
-        for seed in range(BATCH_COUNT):
-            rho = states.random_full_rank_state(n, m, seed)
-            cases.append((rho, copula.copula_of(rho)))
-        runs[dims] = cases
+    for n, m in BATCH_DIMS:
+        rhos = [states.random_full_rank_state(n, m, seed) for seed in range(BATCH_COUNT)]
+        runs[n, m] = list(zip(rhos, copula.copula_batch(rhos)))
     return runs
 
 

@@ -1,11 +1,11 @@
-"""The batched fixed-point solver against the serial one, bit for bit and
-state by state."""
+"""The batched solver, its fixed-point loop and its stacked tail, against
+the single solve, bit for bit and state by state."""
 
 import numpy as np
 import pytest
 
 from qcopula import choi, copula, states
-from qcopula.errors import QcopulaError, SingularIntermediate
+from qcopula.errors import NotConverged, QcopulaError, SingularIntermediate, VerificationFailed
 
 
 def bits(a):
@@ -34,8 +34,10 @@ def assert_same_copula(got, want):
         return
     assert_same_report(got.report, want.report)
     assert bits(got.chi.mat) == bits(want.chi.mat)
-    assert bits(got.scalers.psi0) == bits(want.scalers.psi0)
-    assert bits(got.scalers.psi1) == bits(want.scalers.psi1)
+    for name in ("phi0", "phi1", "psi0", "psi1"):
+        assert bits(getattr(got.scalers, name)) == bits(getattr(want.scalers, name)), name
+    assert got.scalers.residual_forward == want.scalers.residual_forward
+    assert got.scalers.residual_adjoint == want.scalers.residual_adjoint
     assert got.marginal_residual == want.marginal_residual
 
 
@@ -46,6 +48,8 @@ def operators(n, m, seeds):
 class TestBitIdentity:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_copulas_match_serial(self, dims):
+        # the stacked loop and tail against copula_of's serial loop and its
+        # tail as a stack of one
         rhos = [states.random_full_rank_state(*dims, seed) for seed in range(200)]
         for got, rho in zip(copula.copula_batch(rhos), rhos):
             assert_same_copula(got, serial_copula(rho))
@@ -117,6 +121,16 @@ class TestOwnFailures:
         assert_same_report(got[0], copula.fixed_point_iterate(first))
         assert_same_report(got[2], copula.fixed_point_iterate(last))
 
+    def test_every_state_failing_one_step(self):
+        # the whole stack leaves at the forward floor; the adjoint step
+        # then runs on an empty stack
+        bad = choi.ChoiOperator(np.diag([1.0, 0.0, 0.0, 0.0]), 2, 2)
+        with pytest.raises(SingularIntermediate) as serial:
+            copula.fixed_point_iterate(bad)
+        got = copula.fixed_point_batch([bad, bad])
+        assert [type(item) for item in got] == [SingularIntermediate] * 2
+        assert [str(item) for item in got] == [str(serial.value)] * 2
+
     def test_failed_gram_solves_fall_back_to_the_plain_contraction(self, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
@@ -153,6 +167,35 @@ class TestOwnFailures:
         assert [report.converged for report in got] == [k != 3 for k in range(8)]
         for report, phi in zip(got, phis):
             assert_same_report(report, copula.fixed_point_iterate(phi, max_iter=10))
+
+    def test_verification_failure_in_the_middle_of_a_stack(self, monkeypatch):
+        # the scaling residuals of one state miss their bound; its tail
+        # fails as a single solve's does, and the states stacked with it
+        # finish as before
+        rhos = [states.random_full_rank_state(2, 3, seed) for seed in range(9)]
+        want = [serial_copula(rho) for rho in rhos]
+        bad = choi.choi_from_state(rhos[4])._realigned.tobytes()
+        original = copula._scaling_residuals
+
+        def one_misses(r, *args):
+            res = original(r, *args)
+            return [(1.0, 1.0) if x.tobytes() == bad else pair for x, pair in zip(r, res)]
+
+        monkeypatch.setattr(copula, "_scaling_residuals", one_misses)
+        got = copula.copula_batch(rhos)
+        assert type(got[4]) is VerificationFailed
+        assert_same_copula(got[4], serial_copula(rhos[4]))
+        for k in (0, 1, 2, 3, 5, 6, 7, 8):
+            assert_same_copula(got[k], want[k])
+
+    def test_unconverged_run_in_the_middle_of_a_stack(self):
+        # seed 3 at (2,2) takes 11 steps, seeds 0..7 otherwise at most 10
+        rhos = [states.random_full_rank_state(2, 2, seed) for seed in range(8)]
+        cfg = copula.SolverConfig(max_iter=10)
+        got = copula.copula_batch(rhos, cfg)
+        assert [type(item) is NotConverged for item in got] == [k == 3 for k in range(8)]
+        for item, rho in zip(got, rhos):
+            assert_same_copula(item, serial_copula(rho, cfg))
 
     def test_rank_check_and_settings_per_state(self):
         deficient = states.DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), 2, 2)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from qcopula import cli, copula, states
+from qcopula import choi, cli, copula, states
 from qcopula.errors import NotConverged, PrecopulaCheckFailed, QcopulaError, VerificationFailed
 from qcopula.jsonio import canonical_dumps
 
@@ -332,6 +332,26 @@ class TestBatchedSuites:
         assert doc is None
         assert capsys.readouterr().err == f"error: {serial.value}\n"
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_uniqueness_not_converged_names_the_case(self, tmp_path, capsys, dims):
+        # a random init short of tol ends the suite as NotConverged (exit 2),
+        # not as an infinite ray gap the document cannot hold
+        n, m = dims
+        code, doc = self.run(
+            ["experiment", "uniqueness", "--count", "40", "--seed", "3", "--max-iter", "2",
+             "--dims", f"{n},{m}"],
+            tmp_path,
+        )
+        phi = choi.choi_from_state(states.random_full_rank_state(n, m, 3))
+        init = states.wishart_state_matrix(n, np.random.default_rng((3, 0, 7)))
+        report = copula.fixed_point_iterate(phi, max_iter=2, init=init)
+        assert code == 2
+        assert doc is None
+        assert capsys.readouterr().err == (
+            "error: uniqueness case 0: init 0 did not reach the fixed point in 2 iterations "
+            f"(last step {report.final_step:.3e} > tol 1e-12)\n"
+        )
+
     @pytest.mark.parametrize("sample_fails_first", [True, False])
     def test_errors_surface_in_case_order(self, tmp_path, monkeypatch, capsys, sample_fails_first):
         # one case fails to sample and another fails its solve; the earlier
@@ -366,12 +386,12 @@ class TestInternalErrors:
     @pytest.mark.parametrize("error", [VerificationFailed, PrecopulaCheckFailed])
     @pytest.mark.parametrize("command", ["copula", "experiment"])
     def test_verification_failures_exit_1(self, tmp_path, monkeypatch, capsys, error, command):
-        # injected into the scaler extraction, which the single solve and the
-        # suites' batched solve share
-        def failing_extract_scalers(*args, **kwargs):
+        # injected into the stacked scaler extraction, which the single solve
+        # (a stack of one) and the suites' batched solve share
+        def failing_scalers_stack(*args, **kwargs):
             raise error("injected failure")
 
-        monkeypatch.setattr(cli.copmod, "extract_scalers", failing_extract_scalers)
+        monkeypatch.setattr(cli.copmod, "_scalers_stack", failing_scalers_stack)
         if command == "copula":
             argv = ["copula", write_json(tmp_path / "in.json", maximally_mixed_doc())]
         else:

@@ -379,14 +379,15 @@ class TestCopulaOf:
 
     def test_no_full_size_eigendecomposition(self, monkeypatch):
         # The input's own check ran at construction; copula_of decomposes
-        # only n x n and m x m matrices and proves chi positive by Cholesky.
+        # only n x n and m x m matrices, alone or stacked, and proves chi
+        # positive by Cholesky.
         rho = states.random_full_rank_state(2, 3, 0)
         shapes = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
             def recording(a, *args, _original=original, **kwargs):
-                shapes.append(np.shape(a))
+                shapes.append(np.shape(a)[-2:])
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
@@ -395,18 +396,20 @@ class TestCopulaOf:
         assert set(shapes) <= {(2, 2), (3, 3)}
 
     @pytest.mark.parametrize(
-        "owner, target, error",
+        "owner, target, fake, error",
         [
-            (copula, "scaling_equation_residuals", VerificationFailed),
-            (states, "marginal_residuals", PrecopulaCheckFailed),
+            # the scaling residuals come as one pair per stacked state
+            (copula, "_scaling_residuals", lambda r, *args: [(1.0, 1.0)] * len(r),
+             VerificationFailed),
+            (states, "marginal_residuals", lambda *args: (1.0, 1.0), PrecopulaCheckFailed),
         ],
         ids=["scaling", "marginals"],
     )
-    def test_miss_above_rounding_reach_is_a_bug(self, monkeypatch, owner, target, error):
+    def test_miss_above_rounding_reach_is_a_bug(self, monkeypatch, owner, target, fake, error):
         # a well-conditioned state at the default tol leaves rounding no
         # room to explain a missed check
         rho = states.random_full_rank_state(2, 2, 0)
-        monkeypatch.setattr(owner, target, lambda *args: (1.0, 1.0))
+        monkeypatch.setattr(owner, target, fake)
         with pytest.raises(error):
             copula.copula_of(rho)
 

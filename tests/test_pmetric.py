@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qcopula import choi, pmetric, states
-from qcopula.errors import NotHermitian, NotPSD, ShapeMismatch, ZeroMatrix
+from qcopula import choi, cli, copula, matcore, pmetric, states
+from qcopula.errors import NotHermitian, NotPSD, QcopulaError, ShapeMismatch, ZeroMatrix
 
 
 def random_pd(rng, n):
@@ -115,6 +115,88 @@ class TestHilbertDistance:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             pmetric.hilbert_distance(np.eye(2), np.eye(3))
+
+
+def serial_distance(a, b):
+    """The one-pair formula the stacked metric must reproduce bit for bit:
+    eigh of each matrix, the support check, whitening on b's support."""
+    ha = matcore.hermitian_part(np.asarray(a, dtype=np.complex128))
+    hb = matcore.hermitian_part(np.asarray(b, dtype=np.complex128))
+    wa, va = np.linalg.eigh(ha)
+    wb, vb = np.linalg.eigh(hb)
+    keep_a = wa > pmetric.RANK_TOL * wa[-1]
+    keep_b = wb > pmetric.RANK_TOL * wb[-1]
+    if np.count_nonzero(keep_a) != np.count_nonzero(keep_b):
+        return math.inf
+    if not keep_b.all():
+        pa = va[:, keep_a] @ va[:, keep_a].conj().T
+        pb = vb[:, keep_b] @ vb[:, keep_b].conj().T
+        if float(np.linalg.norm(pa - pb, 2)) > pmetric.SUPPORT_TOL:
+            return math.inf
+    basis = vb[:, keep_b]
+    s = 1.0 / np.sqrt(wb[keep_b])
+    w = np.linalg.eigvalsh(
+        matcore.hermitian_part((basis.conj().T @ ha @ basis) * s[None, :] * s[:, None])
+    )
+    return math.inf if w[0] <= 0.0 else float(np.log(w[-1] / w[0]))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except QcopulaError as exc:
+        return exc
+
+
+def same_outcome(got, want):
+    if isinstance(want, QcopulaError):
+        return type(got) is type(want) and str(got) == str(want)
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestStackedDistances:
+    """The stacked metric against one pair at a time, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1000])
+    def test_metric_axioms_inputs_match_single_pairs(self, seed):
+        suite = cli._suite_metric_axioms(seed, 200, (3, 3), copula.SolverConfig())
+        cases = [suite.sample(i) for i in range(200)]
+        for (a, b, c, factor, p1, p2), got in zip(cases, suite.solve(cases)):
+            pairs = [
+                (a, b), (b, a), (a, c), (b, c), (factor * a, b),
+                (np.linalg.inv(a), np.linalg.inv(b)), (p1, p2),
+            ]
+            assert len(got) == len(pairs)
+            for d, (x, y) in zip(got, pairs):
+                assert same_outcome(d, pmetric.hilbert_distance(x, y))
+                assert same_outcome(d, serial_distance(x, y))
+
+    def test_mixed_stack_keeps_each_outcome(self):
+        rng = np.random.default_rng(8)
+        u = states.random_haar_unitary(3, rng)
+        proj = u[:, :2] @ u[:, :2].conj().T
+        good = [(random_pd(rng, 3), random_pd(rng, 3)) for _ in range(3)]
+        a_pd, b_pd = random_pd(rng, 3), random_pd(rng, 3)
+        pairs = [
+            good[0],
+            (np.zeros((3, 3)), b_pd),  # zero matrix
+            (a_pd, np.diag([1.0, -1.0, 1.0])),  # not PSD
+            (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), b_pd),  # not Hermitian
+            good[1],
+            (proj @ a_pd @ proj, b_pd),  # rank 2 against rank 3
+            (proj @ a_pd @ proj, proj @ b_pd @ proj),  # common singular support
+            (np.outer(u[:, 0], u[:, 0].conj()), np.outer(u[:, 1], u[:, 1].conj())),
+            (a_pd, np.eye(2)),  # shape mismatch
+            good[2],
+        ]
+        got = pmetric.hilbert_distances([x for x, _ in pairs], [y for _, y in pairs])
+        kinds = [ZeroMatrix, NotPSD, NotHermitian, ShapeMismatch]
+        assert [type(d) for d in got if isinstance(d, QcopulaError)] == kinds
+        assert [math.isinf(d) for d in (got[5], got[6], got[7])] == [True, False, True]
+        for d, (x, y) in zip(got, pairs):
+            assert same_outcome(d, outcome(pmetric.hilbert_distance, x, y))
+            if not isinstance(d, QcopulaError):
+                assert same_outcome(d, serial_distance(x, y))
 
 
 class TestEstimators:

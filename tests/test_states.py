@@ -200,6 +200,31 @@ class TestRandomStates:
         b = states.random_separable_state(2, 2, terms=6, seed=5)
         np.testing.assert_array_equal(a.mat, b.mat)
 
+    @pytest.mark.parametrize("dims, terms", [((2, 3), 12), ((3, 2), 6), ((2, 2), 8)])
+    def test_separable_matches_kron_oracle(self, monkeypatch, dims, terms):
+        # the sampler's product terms are those of np.kron, bit for bit,
+        # without calling it
+        n, m = dims
+
+        def oracle(seed):
+            rng = np.random.default_rng(seed)
+            acc = np.zeros((n * m, n * m), dtype=np.complex128)
+            for p in rng.dirichlet(np.ones(terms)):
+                a = states.wishart_state_matrix(n, rng)
+                acc += p * np.kron(a, states.wishart_state_matrix(m, rng))
+            acc = matcore.hermitian_part(acc)
+            return matcore.hermitian_part(acc / np.trace(acc).real)
+
+        want = [oracle(seed) for seed in range(50)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", forbidden)
+        for seed, mat in enumerate(want):
+            got = states.random_separable_state(n, m, terms, seed).mat
+            assert got.tobytes() == mat.tobytes()
+
     def test_separable_rejects_bad_terms(self):
         with pytest.raises(ValueError):
             states.random_separable_state(2, 2, terms=0, seed=0)
