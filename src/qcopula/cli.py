@@ -344,10 +344,12 @@ def _suite_uniqueness(seed, count, dims, cfg):
             all(not isinstance(rep, QcopulaError) and rep.converged for rep in reps)
             for reps in runs
         ]
-        # every converged case's ray gaps, d(ray 0, ray j) for j >= 1, in one call
+        # every converged case's ray gaps, d(ray 0, ray j) for j >= 1, in one
+        # stacked call
         firsts = [reps[0].phi_ray for reps, ok in zip(runs, solved) if ok for _ in reps[1:]]
         others = [rep.phi_ray for reps, ok in zip(runs, solved) if ok for rep in reps[1:]]
-        gaps = iter(pmetric.hilbert_distances(firsts, others))
+        stacks = (np.reshape(rays, (-1, n, n)) for rays in (firsts, others))
+        gaps = iter(pmetric.hilbert_distance(*stacks))
         return [
             (reps, [next(gaps) for _ in reps[1:]] if ok else None)
             for reps, ok in zip(runs, solved)
@@ -402,7 +404,7 @@ def _suite_metric_axioms(seed, count, dims, cfg):
             (a, b), (b, a), (a, c), (b, c), (factor[:, None, None] * a, b),
             (np.linalg.inv(a), np.linalg.inv(b)), (p1, p2),
         ]
-        rows = zip(*(pmetric.hilbert_distances(x, y) for x, y in pairs))
+        rows = zip(*(pmetric.hilbert_distance(x, y) for x, y in pairs))
         return [next((d for d in row if isinstance(d, QcopulaError)), row) for row in rows]
 
     def record(i, _case, distances):

@@ -574,68 +574,85 @@ def scaling_equation_residuals(
     return res
 
 
-def _scalers_stack(r: np.ndarray, rays: np.ndarray, tol: float):
-    """``extract_scalers`` for stacked realigned maps ``r`` (S, n^2, m^2)
-    and converged rays (S, n, n), each state checked as a single extraction
-    checks it and in the same order: the floors of the forward image, phi0
-    and phi1, then the scaling equations.
-
-    Returns (keep, scalers, errors): the positions that passed, their
-    ``ScalerPair``s, and the ``SingularIntermediate`` or
-    ``VerificationFailed`` of each other position.
-    """
+def _scalers_stack(phis: list, reports: list) -> list:
+    """``extract_scalers`` of each (phis[k], reports[k]), maps of one dims:
+    entry k is the ``ScalerPair`` or the error of the first check it fails,
+    in a single extraction's order: convergence, the floors of the forward
+    image, phi0 and phi1, then the scaling equations. The
+    eigendecompositions and the check run on the stack of converged runs."""
+    out: list = [
+        None if report.converged
+        else NotConverged("scaling matrices require a converged fixed point", report=report)
+        for report in reports
+    ]
+    live = [k for k, item in enumerate(out) if item is None]
+    if not live:
+        return out
+    r = _stack([phis[k]._realigned for k in live])
+    rays = _stack([reports[k].phi_ray for k in live])
     n, m = rays.shape[1], math.isqrt(r.shape[2])
-    errors: dict = {}
+    # each state's result or error, by position in live
+    found: dict = {}
     w1, v1 = np.linalg.eigh(_forward_stack(r, rays))
     keep = np.arange(len(rays))
-    keep, w1, v1, r = _drop_singular(keep, [("forward image", w1)], errors, w1, v1, r)
+    keep, w1, v1, r = _drop_singular(keep, [("forward image", w1)], found, w1, v1, r)
     phi1 = matcore.hermitian_part(_pd_power(w1, v1, -1.0) / m)
     phi0 = matcore.hermitian_part(n * _adjoint_stack(r, phi1))
     w0, v0 = np.linalg.eigh(phi0)
     wi, vi = np.linalg.eigh(phi1)
     keep, r, phi0, phi1, w0, v0, w1, v1, wi, vi = _drop_singular(
-        keep, [("phi0", w0), ("phi1", wi)], errors, r, phi0, phi1, w0, v0, w1, v1, wi, vi
+        keep, [("phi0", w0), ("phi1", wi)], found, r, phi0, phi1, w0, v0, w1, v1, wi, vi
     )
     res = _scaling_residuals(r, phi0, phi1, _pd_power(w0, v0, -1.0), _pd_power(wi, vi, -1.0))
     psi0 = _pd_power(w0, v0, 0.5)
     psi1 = _pd_power(m * w1, v1, -0.5)
-    bound = max(SCALING_EQ_RTOL, tol)
-    passed, scalers = [], []
-    for j, (res1, res2) in enumerate(res):
+    for j, (pos, (res1, res2)) in enumerate(zip(keep.tolist(), res)):
+        bound = max(SCALING_EQ_RTOL, reports[live[pos]].tol)
         if res1 > bound or res2 > bound:
-            errors[int(keep[j])] = VerificationFailed(
+            found[pos] = VerificationFailed(
                 f"scaling equations missed {bound:g} relative: "
                 f"forward {res1:.3e}, adjoint {res2:.3e}"
             )
         else:
-            passed.append(int(keep[j]))
-            scalers.append(ScalerPair(phi0[j], phi1[j], psi0[j], psi1[j], res1, res2))
-    return passed, scalers, errors
+            found[pos] = ScalerPair(phi0[j], phi1[j], psi0[j], psi1[j], res1, res2)
+    for pos, item in found.items():
+        out[live[pos]] = item
+    return out
 
 
-def extract_scalers(phi: choimod.ChoiOperator, report: FixedPointReport) -> ScalerPair:
+def extract_scalers(phi, report):
     """Build (phi0, phi1) from the fixed ray and their Hermitian square roots.
 
     phi1 = (1/m) (Phi(phi_ray))^{-1} and phi0 = n Phi*(phi1); both defining
     equations are re-checked before returning, at the run's stopping
     tolerance or 1e-9 relative, whichever is looser. psi1 reuses the
     eigenpairs phi1 is built from, and psi0 the eigenpairs of phi0 that the
-    check inverts phi0 with. A stack of one through ``_scalers_stack``.
+    check inverts phi0 with.
+
+    ``phi`` and ``report`` may also be equal-length sequences of maps of
+    one dims and their runs. The result is then a list whose entry k is,
+    bit for bit, what the call on (phi[k], report[k]) returns or the
+    ``QcopulaError`` it raises; a single extraction is a stack of one.
     """
-    if not report.converged:
-        raise NotConverged("scaling matrices require a converged fixed point", report=report)
-    _, scalers, errors = _scalers_stack(phi._realigned[None], report.phi_ray[None], report.tol)
-    if errors:
-        raise errors[0]
-    return scalers[0]
+    if not isinstance(phi, choimod.ChoiOperator):
+        return _scalers_stack(list(phi), list(report))
+    (out,) = _scalers_stack([phi], [report])
+    if isinstance(out, QcopulaError):
+        raise out
+    return out
 
 
-def connection_matrices(scalers: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
+def connection_matrices(scalers) -> tuple[np.ndarray, np.ndarray]:
     """Invertible (a, b) with (a* o b*) rho (a o b) = chi for the run that
     produced ``scalers``. a* = (psi0^{-1})^T is an entrywise transpose: a
-    conjugate one breaks marginal uniformity for complex-valued states."""
-    a = np.conj(np.linalg.inv(scalers.psi0))
-    b = scalers.psi1.conj().T
+    conjugate one breaks marginal uniformity for complex-valued states.
+    For a sequence of ``ScalerPair``s, a and b are the stacks of each run's."""
+    if isinstance(scalers, ScalerPair):
+        psi0, psi1 = scalers.psi0, scalers.psi1
+    else:
+        psi0, psi1 = _stack([s.psi0 for s in scalers]), _stack([s.psi1 for s in scalers])
+    a = np.conj(np.linalg.inv(psi0))
+    b = psi1.conj().swapaxes(-1, -2)
     return a, b
 
 
@@ -701,7 +718,7 @@ def _finish_stack(items: list, cfg: SolverConfig) -> list:
     ``items`` holds (work, phi, report) triples: the state a solve ran on,
     its map and the run's report. Entry k is the ``CopulaResult`` of item k
     or the error of the first check it fails, in this order: a run short of
-    tol (``NotConverged``), a floor of ``_scalers_stack``, the scaling
+    tol (``NotConverged``), a floor of ``extract_scalers``, the scaling
     equations (``VerificationFailed``, or ``NotConverged`` where tol is out
     of rounding's reach), chi's construction and the marginals. The
     eigendecompositions, inverses and the conjugation run on stacks of the
@@ -716,24 +733,22 @@ def _finish_stack(items: list, cfg: SolverConfig) -> list:
                 report=report,
             )
     live = [k for k, item in enumerate(out) if item is None]
-    if not live:
+    scalers = extract_scalers([items[k][1] for k in live], [items[k][2] for k in live])
+    for k, pair in zip(live, scalers):
+        if isinstance(pair, VerificationFailed):
+            work, _, report = items[k]
+            out[k] = _attempt(_out_of_reach, work, report, str(pair)) or pair
+        elif isinstance(pair, QcopulaError):
+            out[k] = pair
+    good = [(k, pair) for k, pair in zip(live, scalers) if out[k] is None]
+    if not good:
         return out
-    r = _stack([items[k][1]._realigned for k in live])
-    rays = _stack([items[k][2].phi_ray for k in live])
-    keep, scalers, errors = _scalers_stack(r, rays, cfg.tol)
-    for j, exc in errors.items():
-        work, _, report = items[live[j]]
-        if isinstance(exc, VerificationFailed):
-            exc = _attempt(_out_of_reach, work, report, str(exc)) or exc
-        out[live[j]] = exc
-    live = [live[j] for j in keep]
-    if not live:
-        return out
-    # (a* o b*) for the connection (a, b): a* = (psi0^{-1})^T and b* = psi1
-    a_star = np.linalg.inv(_stack([s.psi0 for s in scalers])).swapaxes(-1, -2)
-    b_star = _stack([s.psi1 for s in scalers])
+    live, scalers = zip(*good)
+    # chi is (a* o b*) rho (a o b), normalized, for each state's connection (a, b)
+    a, b = connection_matrices(scalers)
     mats = _stack([items[k][0].mat for k in live])
-    raw = matcore.hermitian_part(matcore.local_congruence(mats, a_star, b_star))
+    raw = matcore.local_congruence(mats, a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2))
+    raw = matcore.hermitian_part(raw)
     raw /= np.trace(raw, axis1=1, axis2=2).real[:, None, None]
     for k, chi_raw, pair in zip(live, raw, scalers):
         work, _, report = items[k]

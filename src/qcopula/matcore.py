@@ -70,40 +70,6 @@ def require_hermitian(
     return hermitian_part(m)
 
 
-def hermitian_parts(mats, rtol: float = HERMITIAN_RTOL, what: str = "matrix") -> list:
-    """``require_hermitian`` for many matrices: entry k is what
-    ``require_hermitian(mats[k], rtol, what)`` returns, or the error it
-    raises. Finite square matrices of one shape are checked as a stack,
-    where each largest magnitude and defect is the single call's value (a
-    maximum does not depend on the order it is taken in); a matrix the stack
-    does not pass is checked alone, for its error."""
-    out = [np.asarray(a, dtype=np.complex128) for a in mats]
-    shapes: dict = {}
-    for k, m in enumerate(out):
-        if m.ndim == 2 and m.shape[0] == m.shape[1]:
-            shapes.setdefault(m.shape, []).append(k)
-    passed = set()
-    for idx in shapes.values():
-        m = np.stack([out[k] for k in idx])
-        scale = np.abs(m).max(axis=(1, 2), initial=0.0)
-        finite = np.isfinite(scale)
-        if not finite.all():
-            idx = [k for k, ok in zip(idx, finite.tolist()) if ok]
-            m, scale = m[finite], scale[finite]
-        defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
-        for k, h, bad in zip(idx, hermitian_part(m), (defect > rtol * scale).tolist()):
-            if not bad:
-                out[k] = h
-                passed.add(k)
-    for k, a in enumerate(mats):
-        if k not in passed:
-            try:
-                out[k] = require_hermitian(a, rtol, what)
-            except (ShapeMismatch, NonFinite, NotHermitian) as exc:
-                out[k] = exc
-    return out
-
-
 def local_congruence(mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a o b) mat (a o b)* for an (nm) x (nm) ``mat``, n x n ``a`` and m x m
     ``b``, or for each (mat, a, b) of three stacks with the same leading

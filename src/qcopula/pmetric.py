@@ -3,8 +3,8 @@
 The distance between two PSD matrices with common support is
 log(max/min) over the spectrum of B^{-1/2} A B^{-1/2} restricted to the
 support; matrices with different supports are infinitely far apart.
-``hilbert_distances`` computes it for many pairs on stacked matrices, and
-``hilbert_distance`` is its stack of one. Also provides Monte-Carlo
+``hilbert_distance`` takes one pair of matrices or two stacks of them; a
+single pair is computed as a stack of one. Also provides Monte-Carlo
 lower-bound estimators for the projective diameter and the contraction
 ratio of a positive map.
 """
@@ -31,13 +31,18 @@ RANK_TOL = 1e-10  # support: eigenvalues above this fraction of the largest
 def _spectra(mats, what: str):
     """The checks and eigendecompositions ``hilbert_distance`` makes of each
     matrix. Returns (out, stacks): ``out[k]`` is the error matrix k fails
-    on, in the single call's order (``matcore.hermitian_parts``, a
+    on, in the single call's order (``matcore.require_hermitian``, a
     numerically zero matrix, a negative eigenvalue), or (n, row, rank) for
     a matrix that passes; ``stacks[n]`` holds the Hermitian parts and
     eigenpairs (h, w, v) of the size-n matrices that reached ``eigh``, and
     rank counts the eigenvalues above ``RANK_TOL`` of the largest. The
-    Frobenius norm is taken matrix by matrix."""
-    hs = matcore.hermitian_parts(mats, what=what)
+    Hermitian check and the Frobenius norm are taken matrix by matrix."""
+    hs: list = []
+    for mat in mats:
+        try:
+            hs.append(matcore.require_hermitian(mat, what=what))
+        except QcopulaError as exc:
+            hs.append(exc)
     out = list(hs)
     sizes: dict = {}
     for k, h in enumerate(hs):
@@ -96,19 +101,14 @@ def _same_rank_distances(ha, va, wb, vb, rank: int) -> list:
     ]
 
 
-def hilbert_distances(a_mats, b_mats) -> list:
-    """``hilbert_distance`` of each pair (a_mats[k], b_mats[k]).
-
-    Entry k is, bit for bit, the distance ``hilbert_distance(a_mats[k],
-    b_mats[k])`` returns, or the ``QcopulaError`` it raises: a's checks come
-    before b's, then the shapes. The Hermitian checks and eigendecompositions
-    run on stacks of one shape, the whitening on stacks of one shape and
-    support rank; the Frobenius norms and the logarithms are taken one
-    matrix at a time.
+def _distances(a_mats, b_mats) -> list:
+    """The distance of each pair (a_mats[k], b_mats[k]), or the
+    ``QcopulaError`` of the first check it fails: a's checks come before
+    b's, then the shapes. The eigendecompositions run on stacks of one
+    shape, the whitening on stacks of one shape and support rank; the
+    checks, the Frobenius norms and the logarithms are taken one matrix at
+    a time.
     """
-    a_mats, b_mats = list(a_mats), list(b_mats)
-    if len(a_mats) != len(b_mats):
-        raise ValueError(f"got {len(a_mats)} matrices a for {len(b_mats)} matrices b")
     (a_side, a_stacks), (b_side, b_stacks) = _spectra(a_mats, "a"), _spectra(b_mats, "b")
     out: list = []
     groups: dict = {}
@@ -131,14 +131,23 @@ def hilbert_distances(a_mats, b_mats) -> list:
     return out
 
 
-def hilbert_distance(a, b) -> float:
+def hilbert_distance(a, b):
     """Projective distance between rays of nonzero PSD matrices.
 
     Scale invariant: d(cA, B) = d(A, B) for c > 0, and d(A, B) = 0 exactly
     when A and B span the same ray. Returns ``math.inf`` when the supports
     differ (support = span of eigenvectors above ``RANK_TOL`` relative).
+
+    ``a`` and ``b`` may also be stacks, numpy arrays of shapes (S, n, n)
+    and (S, n', n'). The result is then a list whose entry k is, bit for
+    bit, what the call on the pair (a[k], b[k]) returns or the
+    ``QcopulaError`` it raises, so that one bad pair hides no other.
     """
-    (d,) = hilbert_distances([a], [b])
+    if isinstance(a, np.ndarray) and a.ndim == 3:
+        if not (isinstance(b, np.ndarray) and b.ndim == 3 and len(b) == len(a)):
+            raise ValueError(f"a stack {a.shape} needs a stack of as many b, got {np.shape(b)}")
+        return _distances(a, b)
+    (d,) = _distances([a], [b])
     if isinstance(d, QcopulaError):
         raise d
     return d

@@ -386,12 +386,12 @@ class TestInternalErrors:
     @pytest.mark.parametrize("error", [VerificationFailed, PrecopulaCheckFailed])
     @pytest.mark.parametrize("command", ["copula", "experiment"])
     def test_verification_failures_exit_1(self, tmp_path, monkeypatch, capsys, error, command):
-        # injected into the stacked scaler extraction, which the single solve
-        # (a stack of one) and the suites' batched solve share
-        def failing_scalers_stack(*args, **kwargs):
+        # injected into the scaler extraction, which the single solve and the
+        # suites' batched solve share
+        def failing_extract_scalers(*args, **kwargs):
             raise error("injected failure")
 
-        monkeypatch.setattr(cli.copmod, "_scalers_stack", failing_scalers_stack)
+        monkeypatch.setattr(cli.copmod, "extract_scalers", failing_extract_scalers)
         if command == "copula":
             argv = ["copula", write_json(tmp_path / "in.json", maximally_mixed_doc())]
         else:

@@ -186,17 +186,36 @@ class TestStackedDistances:
             (proj @ a_pd @ proj, b_pd),  # rank 2 against rank 3
             (proj @ a_pd @ proj, proj @ b_pd @ proj),  # common singular support
             (np.outer(u[:, 0], u[:, 0].conj()), np.outer(u[:, 1], u[:, 1].conj())),
-            (a_pd, np.eye(2)),  # shape mismatch
             good[2],
         ]
-        got = pmetric.hilbert_distances([x for x, _ in pairs], [y for _, y in pairs])
-        kinds = [ZeroMatrix, NotPSD, NotHermitian, ShapeMismatch]
+        got = pmetric.hilbert_distance(*(np.array(side) for side in zip(*pairs)))
+        kinds = [ZeroMatrix, NotPSD, NotHermitian]
         assert [type(d) for d in got if isinstance(d, QcopulaError)] == kinds
         assert [math.isinf(d) for d in (got[5], got[6], got[7])] == [True, False, True]
         for d, (x, y) in zip(got, pairs):
             assert same_outcome(d, outcome(pmetric.hilbert_distance, x, y))
             if not isinstance(d, QcopulaError):
                 assert same_outcome(d, serial_distance(x, y))
+
+    def test_stacks_of_two_sizes(self):
+        # a's checks come first, then the shapes, pair by pair
+        rng = np.random.default_rng(9)
+        a = np.array([random_pd(rng, 3), np.zeros((3, 3)), random_pd(rng, 3)])
+        b = np.array([random_pd(rng, 2) for _ in range(3)])
+        got = pmetric.hilbert_distance(a, b)
+        assert [type(d) for d in got] == [ShapeMismatch, ZeroMatrix, ShapeMismatch]
+        for d, x, y in zip(got, a, b):
+            assert same_outcome(d, outcome(pmetric.hilbert_distance, x, y))
+
+    def test_stack_needs_a_stack_of_as_many(self):
+        a = np.array([np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="as many"):
+            pmetric.hilbert_distance(a, np.eye(2))
+        with pytest.raises(ValueError, match="as many"):
+            pmetric.hilbert_distance(a, a[:1])
+
+    def test_empty_stacks(self):
+        assert pmetric.hilbert_distance(np.empty((0, 3, 3)), np.empty((0, 3, 3))) == []
 
 
 class TestEstimators:
