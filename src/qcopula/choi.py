@@ -16,7 +16,6 @@ from .errors import SingularTransform
 from .states import DensityMatrix
 
 CONDITION_CAP = 1e12
-POSITIVITY_PROBE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,25 +115,3 @@ def sandwich_transform(phi: ChoiOperator, a, b) -> ChoiOperator:
             f"transform matrices too ill-conditioned: cond(a)={ca:.3e}, cond(b)={cb:.3e}"
         )
     return ChoiOperator(matcore.local_congruence(phi.choi, am.T, bm), n, m)
-
-
-def is_strictly_positive_sample(phi: ChoiOperator, trials: int, seed) -> bool:
-    """Falsification probe for strict positivity.
-
-    Feeds ``trials`` random rank-one projectors through the map and checks
-    that every output is positive definite relative to its trace. Passing
-    does not prove strict positivity; failing disproves it.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = phi.dim_in
-    for _ in range(trials):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        out = matcore.hermitian_part(apply(phi, np.outer(v, v.conj())))
-        w = np.linalg.eigvalsh(out)
-        tr = float(np.trace(out).real)
-        if w[0] <= POSITIVITY_PROBE_RTOL * tr:
-            return False
-    return True

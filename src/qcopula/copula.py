@@ -129,6 +129,11 @@ class CopulaResult:
     reg_eps: float = 0.0
 
 
+def _below_floor(lo, hi):
+    """Whether spectra from ``lo`` up to ``hi`` fail the relative floor; elementwise."""
+    return (hi <= 0.0) | (lo <= SINGULAR_EIG_RTOL * hi)
+
+
 def _singular(context: str, w: np.ndarray) -> SingularIntermediate:
     """The error for a spectrum ``w`` (ascending) below the relative floor."""
     return SingularIntermediate(
@@ -143,7 +148,7 @@ def _eig_pd(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
     its lower triangle as ``eigh`` does; eigenvalues below the relative
     floor signal a near-rank-deficient input upstream."""
     w, v = np.linalg.eigh(mat)
-    if w[-1] <= 0.0 or w[0] <= SINGULAR_EIG_RTOL * w[-1]:
+    if _below_floor(w[0], w[-1]):
         raise _singular(context, w)
     return w, v
 
@@ -277,7 +282,7 @@ def fixed_point_iterate(
                     ev = np.linalg.eigvalsh(candidate)
             except np.linalg.LinAlgError:
                 pass
-            if ev is not None and ev[0] > SINGULAR_EIG_RTOL * ev[-1]:
+            if ev is not None and not _below_floor(ev[0], ev[-1]):
                 x = candidate
             else:
                 restarts += 1
@@ -315,7 +320,7 @@ def _drop_singular(keep, floors, errors: dict, *arrays) -> list:
     bad: set = set()
     for context, w in floors:
         for k, (lo, hi) in enumerate(zip(w[:, 0].tolist(), w[:, -1].tolist())):
-            if (hi <= 0.0 or lo <= SINGULAR_EIG_RTOL * hi) and k not in bad:
+            if _below_floor(lo, hi) and k not in bad:
                 errors[int(keep[k])] = _singular(context, w[k])
                 bad.add(k)
     if not bad:
@@ -406,7 +411,7 @@ def _extrapolate(dg, df, stored, g_real, f, g):
         ok &= np.isfinite(cand).all(axis=(1, 2))
         if ok.any():
             ev, solved = _per_state(np.linalg.eigvalsh, (int(ok.sum()), n), cand[ok])
-            ok[ok] = solved & (ev[:, 0] > SINGULAR_EIG_RTOL * ev[:, -1])
+            ok[ok] = solved & ~_below_floor(ev[:, 0], ev[:, -1])
         if ok.any():
             if x is g:
                 x = g.copy()

@@ -37,10 +37,6 @@ class SingularTransform(QcopulaError):
     """A conjugating matrix is singular beyond the condition-number cap."""
 
 
-class InfiniteDistance(QcopulaError):
-    """A projective-distance sample hit mismatched supports."""
-
-
 class NotConverged(QcopulaError):
     """An iterative solve stopped before reaching its tolerance."""
 

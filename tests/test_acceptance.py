@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qcopula import choi, copula, pmetric, sinkhorn, states
+from spectral_certificate import certified_kappa, contraction_ratios
 
 BATCH_DIMS = ((2, 2), (2, 3), (3, 3))
 BATCH_COUNT = 200
@@ -240,21 +241,25 @@ def test_criterion_09_choi_layer_identities():
 
 
 def test_criterion_10_contraction_diagnostics():
-    all_below_one = True
-    pairs = []
+    # kappa(Phi) is certified from the spectrum; sampled ratios are lower
+    # bounds of the true contraction and may not pass it (or kappa^2 for T)
+    ok = True
+    kappas, worst = [], np.zeros(3)
     for dims in ((2, 2), (2, 3)):
-        n, m = dims
         for seed in range(6):
-            phi = choi.choi_from_state(states.random_full_rank_state(n, m, seed))
-            ratio = pmetric.estimate_contraction(phi, samples=40, seed=seed)
-            diam = pmetric.estimate_diameter(phi, samples=40, seed=seed + 100)
-            bound = math.tanh(diam / 4.0)
-            all_below_one &= ratio < 1.0 and bound <= 1.0
-            pairs.append((ratio, bound))
-    detail = "; ".join(f"ratio {r:.3f} / tanh(diam/4) {b:.3f}" for r, b in pairs[:4])
-    report(10, "contraction below one", all_below_one,
-           f"(sampled lower bounds of the true ratio and diameter: {detail}; "
-           f"{len(pairs)} states)")
+            rho = states.random_full_rank_state(*dims, seed)
+            kappa = certified_kappa(rho)
+            phi, tanh_quarter, t = contraction_ratios(rho, pairs=40, seed=seed)
+            bounds = (kappa, kappa, kappa**2)
+            samples = (phi.max(), tanh_quarter.max(), t.max())
+            ok &= kappa < 1.0 and all(s <= b for s, b in zip(samples, bounds))
+            kappas.append(kappa)
+            worst = np.maximum(worst, np.divide(samples, bounds))
+    report(10, "certified contraction below one", ok,
+           f"(kappa = (c-1)/(c+1) from the spectrum, max {max(kappas):.4f} < 1; "
+           f"largest sampled over certified: Phi ratio {worst[0]:.3f}, "
+           f"tanh(d/4) {worst[1]:.3f}, T ratio {worst[2]:.3f} of kappa^2; "
+           f"{len(kappas)} states)")
 
 
 def test_criterion_11_classical_sinkhorn():

@@ -95,6 +95,23 @@ class TestFixedPointIterate:
             copula.fixed_point_iterate(phi)
 
     @pytest.mark.parametrize(
+        "lo, hi, below",
+        [
+            (0.0, 0.0, True),
+            (-2.0, -1.0, True),
+            (copula.SINGULAR_EIG_RTOL * 3.0, 3.0, True),
+            (np.nextafter(copula.SINGULAR_EIG_RTOL * 3.0, 1.0), 3.0, False),
+        ],
+    )
+    def test_singular_floor(self, lo, hi, below):
+        # one rule on Python floats (the stacked floors), numpy scalars (a
+        # single spectrum) and elementwise on arrays (the stacked Anderson step)
+        assert copula._below_floor(float(lo), float(hi)) is below
+        assert copula._below_floor(np.float64(lo), np.float64(hi)) == below
+        got = copula._below_floor(np.array([lo, 1.0]), np.array([hi, 2.0]))
+        assert got.tolist() == [below, False]
+
+    @pytest.mark.parametrize(
         "dims, floor, seed",
         [((2, 2), None, 154), ((3, 3), 1e-3, 0), ((3, 3), 1e-4, 1), ((3, 3), 1e-6, 2)],
     )

@@ -1,4 +1,4 @@
-"""Tests for the projective metric and its diameter/contraction estimators."""
+"""Tests for the projective metric."""
 
 import math
 
@@ -12,15 +12,6 @@ from qcopula.errors import NotHermitian, NotPSD, QcopulaError, ShapeMismatch, Ze
 def random_pd(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return g @ g.conj().T + 0.05 * np.eye(n)
-
-
-def trace_to_identity_choi(n, m):
-    """Choi matrix of X -> Tr(X) I_m."""
-    return choi.choi_from_map(lambda x: np.trace(x) * np.eye(m), n, m)
-
-
-def identity_map_choi(n):
-    return choi.choi_from_map(lambda x: x, n, n)
 
 
 class TestHilbertDistance:
@@ -217,53 +208,3 @@ class TestStackedDistances:
     def test_empty_stacks(self):
         assert pmetric.hilbert_distance(np.empty((0, 3, 3)), np.empty((0, 3, 3))) == []
 
-
-class TestEstimators:
-    def test_trace_map_diameter_zero(self):
-        phi = trace_to_identity_choi(2, 2)
-        assert pmetric.estimate_diameter(phi, samples=40, seed=0) <= 1e-12
-
-    def test_maximally_mixed_state_map_diameter_zero(self):
-        phi = choi.choi_from_state(states.DensityMatrix(np.eye(4) / 4, 2, 2))
-        assert pmetric.estimate_diameter(phi, samples=40, seed=1) <= 1e-12
-
-    def test_generic_map_diameter_positive_finite(self):
-        phi = choi.choi_from_state(states.random_full_rank_state(2, 2, 7))
-        d = pmetric.estimate_diameter(phi, samples=60, seed=2)
-        assert 0.0 < d < math.inf
-
-    def test_identity_map_contraction_is_one(self):
-        est = pmetric.estimate_contraction(identity_map_choi(2), samples=60, seed=3)
-        assert est == pytest.approx(1.0, abs=1e-8)
-
-    def test_trace_map_contraction_zero(self):
-        est = pmetric.estimate_contraction(trace_to_identity_choi(2, 2), samples=60, seed=4)
-        assert est <= 1e-12
-
-    def test_full_rank_state_map_contracts(self):
-        for seed in range(5):
-            phi = choi.choi_from_state(states.random_full_rank_state(2, 2, seed))
-            est = pmetric.estimate_contraction(phi, samples=60, seed=seed)
-            assert est < 1.0
-
-    def test_contraction_consistent_with_diameter_bound(self):
-        # both quantities are lower bounds; tanh of a quarter diameter can
-        # never leave [0, 1)
-        phi = choi.choi_from_state(states.random_full_rank_state(2, 2, 9))
-        diam = pmetric.estimate_diameter(phi, samples=60, seed=5)
-        ratio = pmetric.estimate_contraction(phi, samples=60, seed=6)
-        assert ratio < 1.0
-        assert 0.0 <= math.tanh(diam / 4.0) < 1.0
-
-    def test_determinism(self):
-        phi = choi.choi_from_state(states.random_full_rank_state(2, 2, 11))
-        a = pmetric.estimate_diameter(phi, samples=30, seed=12)
-        b = pmetric.estimate_diameter(phi, samples=30, seed=12)
-        assert a == b
-
-    def test_rejects_too_few_samples(self):
-        phi = trace_to_identity_choi(2, 2)
-        with pytest.raises(ValueError):
-            pmetric.estimate_diameter(phi, samples=1, seed=0)
-        with pytest.raises(ValueError):
-            pmetric.estimate_contraction(phi, samples=1, seed=0)

@@ -12,6 +12,7 @@ import pytest
 
 from qcopula import choi, copula, states
 from qcopula.errors import NotConverged
+from spectral_certificate import certified_kappa, contraction_ratios, obeys_positivity_certificate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -63,3 +64,20 @@ def test_solve_verifies_or_reports_not_converged(case):
     phi = choi.choi_from_state(rho)
     residuals = copula.scaling_equation_residuals(phi, result.scalers.phi0, result.scalers.phi1)
     assert max(residuals) <= max(copula.SCALING_EQ_RTOL, tol)
+
+
+@pytest.mark.parametrize("floor", [1e-3, 1e-6])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_near_boundary_contraction_stays_certified(dims, floor):
+    # kappa(Phi) comes closest to one here, and for states dominated by one
+    # eigenvalue the sampled ratios come within ~1e-5 of it, relative
+    n, m = dims
+    for rank in (1, n * m - 1):
+        for seed in range(3):
+            rho = near_boundary_state(n, m, rank, floor, seed)
+            kappa = certified_kappa(rho)
+            phi, tanh_quarter, t = contraction_ratios(rho, pairs=20, seed=seed)
+            assert kappa < 1.0
+            assert phi.max() <= kappa and tanh_quarter.max() <= kappa
+            assert t.max() <= kappa**2
+            assert obeys_positivity_certificate(rho, trials=20, seed=seed)
