@@ -7,15 +7,13 @@ are the same array read two ways.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matcore
-from .errors import SingularTransform
 from .states import DensityMatrix
-
-CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +24,7 @@ class ChoiOperator:
     copied. Construction also stores the realigned (n^2, m^2) matrix R with
     R[(i,j), (k,l)] = choi[(i,k), (j,l)], the map's matrix on row-major
     vectorizations, so Phi(X) = vec(X) R and Phi*(Y) = conj(R) vec(Y) are
-    one matrix product each.
+    one matrix product each (``_forward`` and ``_adjoint``).
     """
 
     choi: np.ndarray
@@ -45,15 +43,23 @@ class ChoiOperator:
     def tensor_view(self) -> np.ndarray:
         return self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """Phi(X) for an n x n complex array, unchecked."""
-        return (x.reshape(-1) @ self._realigned).reshape(self.dim_out, self.dim_out)
 
-    def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Phi*(Y) for an m x m complex array, unchecked; conj(R) vec(Y) is
-        computed as conj(R conj(vec(Y))) so R is never conjugated whole."""
-        out = self._realigned @ np.conj(y.reshape(-1))
-        return np.conj(out).reshape(self.dim_in, self.dim_in)
+def _forward(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Phi(X) = vec(X) R for a realigned matrix R of ``ChoiOperator`` and an
+    n x n complex X, unchecked; or for stacks R (..., n^2, m^2) and
+    X (..., n, n) with the same leading axes, which may be empty."""
+    lead = x.shape[:-2]
+    m = math.isqrt(r.shape[-1])
+    return (x.reshape(lead + (1, r.shape[-2])) @ r).reshape(lead + (m, m))
+
+
+def _adjoint(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Phi*(Y) = conj(R) vec(Y) as ``_forward`` takes its arguments, for an
+    m x m Y or a stack of them. It is computed as conj(R conj(vec(Y))), so
+    R is never conjugated whole."""
+    lead = y.shape[:-2]
+    n = math.isqrt(r.shape[-2])
+    return np.conj(r @ np.conj(y.reshape(lead + (r.shape[-1], 1)))).reshape(lead + (n, n))
 
 
 def choi_from_state(rho: DensityMatrix) -> ChoiOperator:
@@ -76,7 +82,7 @@ def choi_from_map(fn, n: int, m: int) -> ChoiOperator:
 
 def apply(phi: ChoiOperator, x) -> np.ndarray:
     """Phi(X) = sum_ij X[i,j] Phi(E_ij); returns an m x m matrix."""
-    return phi._apply(matcore.as_cmatrix(x, phi.dim_in, "input"))
+    return _forward(phi._realigned, matcore.as_cmatrix(x, phi.dim_in, "input"))
 
 
 def apply_via_partial_trace(phi: ChoiOperator, x) -> np.ndarray:
@@ -90,7 +96,7 @@ def apply_via_partial_trace(phi: ChoiOperator, x) -> np.ndarray:
 def apply_adjoint(phi: ChoiOperator, y) -> np.ndarray:
     """Hilbert-Schmidt adjoint: Phi*(Y)[i,j] = Tr(Phi(E_ij)* Y), the unique
     map satisfying <Phi(X), Y> = <X, Phi*(Y)>."""
-    return phi._apply_adjoint(matcore.as_cmatrix(y, phi.dim_out, "input"))
+    return _adjoint(phi._realigned, matcore.as_cmatrix(y, phi.dim_out, "input"))
 
 
 def adjoint(phi: ChoiOperator) -> ChoiOperator:
@@ -98,20 +104,3 @@ def adjoint(phi: ChoiOperator) -> ChoiOperator:
     t = np.conj(phi.tensor_view().transpose(1, 0, 3, 2))
     d = phi.dim_in * phi.dim_out
     return ChoiOperator(np.ascontiguousarray(t).reshape(d, d), phi.dim_out, phi.dim_in)
-
-
-def sandwich_transform(phi: ChoiOperator, a, b) -> ChoiOperator:
-    """Choi matrix of X -> B Phi(A X A*) B*, i.e. (A^T o B) choi (A^T o B)*.
-
-    The transpose on the A side is entrywise (non-conjugate).
-    """
-    n, m = phi.dim_in, phi.dim_out
-    am = matcore.as_cmatrix(a, n, "a")
-    bm = matcore.as_cmatrix(b, m, "b")
-    ca = float(np.linalg.cond(am, 2))
-    cb = float(np.linalg.cond(bm, 2))
-    if not np.isfinite(ca) or not np.isfinite(cb) or ca > CONDITION_CAP or cb > CONDITION_CAP:
-        raise SingularTransform(
-            f"transform matrices too ill-conditioned: cond(a)={ca:.3e}, cond(b)={cb:.3e}"
-        )
-    return ChoiOperator(matcore.local_congruence(phi.choi, am.T, bm), n, m)

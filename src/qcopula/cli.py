@@ -88,7 +88,7 @@ def _resolve_config(args) -> SolverConfig:
     cfg = SolverConfig()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = SolverConfig.from_dict(json.load(fh), base=cfg)
+            cfg = SolverConfig.from_dict(json.load(fh))
     if getattr(args, "tol", None) is not None:
         cfg.tol = args.tol
     if getattr(args, "max_iter", None) is not None:

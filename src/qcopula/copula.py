@@ -14,7 +14,8 @@ representative with maximally mixed marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +40,7 @@ ANDERSON_MEMORY = 4  # differences the fixed-point extrapolation keeps
 BATCH_CHUNK = 64  # most states one stacked solve holds
 BATCH_CHUNK_BYTES = 1 << 20  # most bytes their stacked realigned maps take
 
-_CONFIG_FIELDS = ("tol", "marginal_tol", "max_iter", "rank_tol", "regularize", "reg_eps")
+_TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 @dataclass
@@ -54,28 +55,22 @@ class SolverConfig:
     reg_eps: float = 1e-8
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, obj, base: "SolverConfig | None" = None) -> "SolverConfig":
+    def from_dict(cls, obj) -> "SolverConfig":
+        """The defaults overridden by a JSON object's fields; a float field takes any number."""
         if not isinstance(obj, dict):
             raise InvalidInput("config: expected a JSON object")
-        cfg = SolverConfig() if base is None else SolverConfig(**base.to_dict())
+        cfg = cls()
+        kinds = typing.get_type_hints(cls)
         for key, value in obj.items():
-            if key not in _CONFIG_FIELDS:
+            kind = kinds.get(key)
+            if kind is None:
                 raise InvalidInput(f"config: unknown field {key!r}")
-            if key in ("regularize",):
-                if not isinstance(value, bool):
-                    raise InvalidInput(f"config: {key} must be a boolean")
-                setattr(cfg, key, value)
-            elif key in ("max_iter",):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise InvalidInput(f"config: {key} must be an integer")
-                setattr(cfg, key, value)
-            else:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise InvalidInput(f"config: {key} must be a number")
-                setattr(cfg, key, float(value))
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, (kind, int)):
+                raise InvalidInput(f"config: {key} must be {_TYPE_NOUNS[kind]}")
+            setattr(cfg, key, kind(value))
         return cfg
 
     def _check_ranges(self) -> None:
@@ -175,22 +170,30 @@ def _apply_t(phi: choimod.ChoiOperator, x: np.ndarray):
     ``eigh`` reads only the lower triangle, so the rounding-level asymmetry
     of its inputs does not reach the eigenpairs.
     """
-    forward = _inv_pd(phi._apply(x), "forward image")
-    w, v = _eig_pd(phi._apply_adjoint(forward), "adjoint image")
+    forward = _inv_pd(choimod._forward(phi._realigned, x), "forward image")
+    w, v = _eig_pd(choimod._adjoint(phi._realigned, forward), "adjoint image")
     return _pd_power(w, v, -1.0), w, v
 
 
-def _step_to_inverse(x: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+def _step_to_inverse(x: np.ndarray, w: np.ndarray, v: np.ndarray):
     """Hilbert distance between a positive-definite ``x`` and the ray of
-    Y^{-1}, for Y = v diag(w) v*.
+    Y^{-1}, for Y = v diag(w) v*; for stacks x, w and v with the same
+    leading axis, the list of each state's distance.
 
     That is log(max/min) over the spectrum of Y^{1/2} x Y^{1/2}, which is
     the spectrum of (v* x v) scaled entrywise by sqrt(w) sqrt(w)^T, so it
     needs no factorization beyond the one Y already has.
     """
     s = np.sqrt(w)
-    ev = np.linalg.eigvalsh((v.conj().T @ x @ v) * (s[:, None] * s))
-    return math.log(ev[-1] / ev[0]) if ev[0] > 0.0 else math.inf
+    ev = np.linalg.eigvalsh((v.conj().swapaxes(-1, -2) @ x @ v) * (s[..., None] * s[..., None, :]))
+    if ev.ndim == 1:
+        return _log_ratio(ev[0], ev[-1])
+    return list(map(_log_ratio, ev[:, 0].tolist(), ev[:, -1].tolist()))
+
+
+def _log_ratio(lo, hi) -> float:
+    """log(hi/lo) of a positive spectrum's ends; inf once lo is not positive."""
+    return math.log(hi / lo) if lo > 0.0 else math.inf
 
 
 def _check_stopping(tol: float, max_iter: int) -> None:
@@ -337,20 +340,6 @@ def _stack(arrays: list) -> np.ndarray:
     return np.stack(arrays)
 
 
-def _forward_stack(r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Phi(X) for stacked realigned maps ``r`` (S, n^2, m^2) and X (S, n, n);
-    S may be 0."""
-    m = math.isqrt(r.shape[2])
-    return (x.reshape(len(x), 1, r.shape[1]) @ r).reshape(-1, m, m)
-
-
-def _adjoint_stack(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Phi*(Y) for stacked realigned maps ``r`` and Y (S, m, m), as
-    ``ChoiOperator._apply_adjoint`` computes it; S may be 0."""
-    n = math.isqrt(r.shape[1])
-    return np.conj(r @ np.conj(y.reshape(len(y), r.shape[2], 1))).reshape(-1, n, n)
-
-
 def _apply_t_stack(r: np.ndarray, x: np.ndarray):
     """``_apply_t`` on stacked realigned maps ``r`` (S, n^2, m^2) and
     iterates ``x`` (S, n, n), with the same floors.
@@ -362,9 +351,9 @@ def _apply_t_stack(r: np.ndarray, x: np.ndarray):
     step, so its inverse never reaches a stacked ``eigh``.
     """
     errors: dict = {}
-    w, v = np.linalg.eigh(_forward_stack(r, x))
+    w, v = np.linalg.eigh(choimod._forward(r, x))
     keep, w, v, r = _drop_singular(np.arange(len(x)), [("forward image", w)], errors, w, v, r)
-    w, v = np.linalg.eigh(_adjoint_stack(r, _pd_power(w, v, -1.0)))
+    w, v = np.linalg.eigh(choimod._adjoint(r, _pd_power(w, v, -1.0)))
     keep, w, v = _drop_singular(keep, [("adjoint image", w)], errors, w, v)
     return keep, _pd_power(w, v, -1.0), w, v, errors
 
@@ -454,12 +443,7 @@ def _fixed_point_stack(r: np.ndarray, x: np.ndarray, tol: float, max_iter: int) 
             live_r, x, dg, df, count, restarts, ids, g_prev, f_prev = _take(
                 keep, live_r, x, dg, df, count, restarts, ids, g_prev, f_prev
             )
-        s = np.sqrt(w)
-        ev = np.linalg.eigvalsh((v.conj().swapaxes(1, 2) @ x @ v) * (s[:, :, None] * s[:, None, :]))
-        step = [
-            math.log(hi / lo) if lo > 0.0 else math.inf
-            for lo, hi in zip(ev[:, 0].tolist(), ev[:, -1].tolist())
-        ]
+        step = _step_to_inverse(x, w, v)
         for k, value in zip(ids.tolist(), step):
             steps[k].append(value)
         g = t / np.trace(t, axis1=1, axis2=2).real[:, None, None]
@@ -556,8 +540,8 @@ def _scaling_residuals(r, phi0, phi1, inv0, inv1) -> list:
     n, m = phi0.shape[-1], phi1.shape[-1]
     rhs1 = inv1 / m
     rhs2 = phi0 / n
-    miss1 = _forward_stack(r, inv0) - rhs1
-    miss2 = _adjoint_stack(r, phi1) - rhs2
+    miss1 = choimod._forward(r, inv0) - rhs1
+    miss2 = choimod._adjoint(r, phi1) - rhs2
     norm = np.linalg.norm
     return [
         (float(norm(a) / norm(b)), float(norm(c) / norm(d)))
@@ -595,14 +579,14 @@ def _scalers_stack(phis: list, reports: list) -> list:
         return out
     r = _stack([phis[k]._realigned for k in live])
     rays = _stack([reports[k].phi_ray for k in live])
-    n, m = rays.shape[1], math.isqrt(r.shape[2])
+    n, m = phis[0].dim_in, phis[0].dim_out
     # each state's result or error, by position in live
     found: dict = {}
-    w1, v1 = np.linalg.eigh(_forward_stack(r, rays))
+    w1, v1 = np.linalg.eigh(choimod._forward(r, rays))
     keep = np.arange(len(rays))
     keep, w1, v1, r = _drop_singular(keep, [("forward image", w1)], found, w1, v1, r)
     phi1 = matcore.hermitian_part(_pd_power(w1, v1, -1.0) / m)
-    phi0 = matcore.hermitian_part(n * _adjoint_stack(r, phi1))
+    phi0 = matcore.hermitian_part(n * choimod._adjoint(r, phi1))
     w0, v0 = np.linalg.eigh(phi0)
     wi, vi = np.linalg.eigh(phi1)
     keep, r, phi0, phi1, w0, v0, w1, v1, wi, vi = _drop_singular(

@@ -33,10 +33,6 @@ class DegenerateSample(QcopulaError):
     """Random state generation kept producing rank-deficient samples."""
 
 
-class SingularTransform(QcopulaError):
-    """A conjugating matrix is singular beyond the condition-number cap."""
-
-
 class NotConverged(QcopulaError):
     """An iterative solve stopped before reaching its tolerance."""
 

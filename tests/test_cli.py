@@ -438,6 +438,26 @@ class TestSolverKnobs:
         assert f"config: {field} " in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"regularize": 1}, "regularize must be a boolean"),
+            ({"max_iter": 1.5}, "max_iter must be an integer"),
+            ({"max_iter": True}, "max_iter must be an integer"),
+            ({"tol": "x"}, "tol must be a number"),
+            ([1], "expected a JSON object"),
+            ({"tolerance": 1e-9}, "unknown field 'tolerance'"),
+        ],
+        ids=["regularize-int", "max-iter-float", "max-iter-bool", "tol-string", "list", "unknown"],
+    )
+    def test_config_file_type_error_exits_3(self, tmp_path, capsys, doc, message):
+        rho = states.random_full_rank_state(2, 2, 3)
+        argv = ["copula", write_state(tmp_path / "in.json", rho)]
+        assert cli.main([*argv, "--config", write_json(tmp_path / "cfg.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config: {message}\n"
+        assert captured.out == ""
+
     def test_loose_tol_verifies(self, tmp_path):
         rho = states.random_full_rank_state(2, 2, 3)
         out = tmp_path / "out.json"

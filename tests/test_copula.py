@@ -542,7 +542,7 @@ class TestSolverConfig:
         assert again == cfg
 
     def test_partial_override(self):
-        cfg = copula.SolverConfig.from_dict({"tol": 1e-9}, base=copula.SolverConfig())
+        cfg = copula.SolverConfig.from_dict({"tol": 1e-9})
         assert cfg.tol == 1e-9
         assert cfg.max_iter == 1000
 

@@ -61,8 +61,6 @@ def _intake_calls():
         "apply_via_partial_trace": (
             "input", 2, lambda bad: choi.apply_via_partial_trace(phi, bad)
         ),
-        "sandwich_transform-a": ("a", 2, lambda bad: choi.sandwich_transform(phi, bad, b)),
-        "sandwich_transform-b": ("b", 3, lambda bad: choi.sandwich_transform(phi, a, bad)),
         "verify_connection-a": ("a", 2, lambda bad: copula.verify_connection(rho, rho, bad, b)),
         "verify_connection-b": ("b", 3, lambda bad: copula.verify_connection(rho, rho, a, bad)),
         "fixed_point_iterate-init": (
