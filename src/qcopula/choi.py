@@ -40,9 +40,6 @@ class ChoiOperator:
         object.__setattr__(self, "choi", choi)
         object.__setattr__(self, "_realigned", realigned)
 
-    def tensor_view(self) -> np.ndarray:
-        return self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
-
 
 def _forward(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Phi(X) = vec(X) R for a realigned matrix R of ``ChoiOperator`` and an
@@ -68,39 +65,12 @@ def choi_from_state(rho: DensityMatrix) -> ChoiOperator:
     return ChoiOperator(rho.mat, rho.dim_a, rho.dim_b)
 
 
-def choi_from_map(fn, n: int, m: int) -> ChoiOperator:
-    """Assemble the Choi matrix of an arbitrary map by feeding it every
-    matrix unit E_ij; the direct-construction oracle for transform tests."""
-    t = np.zeros((n, m, n, m), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = 1.0
-            t[i, :, j, :] = np.asarray(fn(e), dtype=np.complex128)
-    return ChoiOperator(t.reshape(n * m, n * m), n, m)
-
-
 def apply(phi: ChoiOperator, x) -> np.ndarray:
     """Phi(X) = sum_ij X[i,j] Phi(E_ij); returns an m x m matrix."""
     return _forward(phi._realigned, matcore.as_cmatrix(x, phi.dim_in, "input"))
-
-
-def apply_via_partial_trace(phi: ChoiOperator, x) -> np.ndarray:
-    """Equivalent formula Tr_1((X^T o I_m) choi); cross-check route only."""
-    n, m = phi.dim_in, phi.dim_out
-    xm = matcore.as_cmatrix(x, n, "input")
-    prod = np.kron(xm.T, np.eye(m)) @ phi.choi
-    return np.einsum("ikil->kl", prod.reshape(n, m, n, m))
 
 
 def apply_adjoint(phi: ChoiOperator, y) -> np.ndarray:
     """Hilbert-Schmidt adjoint: Phi*(Y)[i,j] = Tr(Phi(E_ij)* Y), the unique
     map satisfying <Phi(X), Y> = <X, Phi*(Y)>."""
     return _adjoint(phi._realigned, matcore.as_cmatrix(y, phi.dim_out, "input"))
-
-
-def adjoint(phi: ChoiOperator) -> ChoiOperator:
-    """The adjoint map as a ChoiOperator from M(dim_out) to M(dim_in)."""
-    t = np.conj(phi.tensor_view().transpose(1, 0, 3, 2))
-    d = phi.dim_in * phi.dim_out
-    return ChoiOperator(np.ascontiguousarray(t).reshape(d, d), phi.dim_out, phi.dim_in)

@@ -70,7 +70,10 @@ class SolverConfig:
                 raise InvalidInput(f"config: unknown field {key!r}")
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, (kind, int)):
                 raise InvalidInput(f"config: {key} must be {_TYPE_NOUNS[kind]}")
-            setattr(cfg, key, kind(value))
+            try:
+                setattr(cfg, key, kind(value))
+            except OverflowError:
+                raise InvalidInput(f"config: {key} is too large for a float") from None
         return cfg
 
     def _check_ranges(self) -> None:
@@ -507,8 +510,9 @@ def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None
     Entry k is, bit for bit, the report ``fixed_point_iterate(phis[k], tol,
     max_iter, inits[k])`` returns, or the ``SingularIntermediate`` it
     raises: one state's failure stays its own. Bad settings and inits raise
-    ``ValueError`` as there. A chunk of one state, like a single solve,
-    runs the serial loop, which is faster than a batch of one.
+    ``ValueError`` as there. A chunk of one state, such as the lone state
+    of ``copula_of``, runs the serial loop, which is faster than a stack of
+    one.
     """
     _check_stopping(tol, max_iter)
     phis = list(phis)
@@ -753,20 +757,18 @@ def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> Cop
     the perturbed state. Settings out of range raise ``InvalidInput``.
     A missed verification bound raises ``NotConverged`` if tol is below
     eps * cond(state), and otherwise the check's own error, a bug.
+
+    This is ``copula_batch`` of one state, whose fixed point is a chunk of
+    one and so runs the serial loop of ``fixed_point_iterate``.
     """
-    cfg = SolverConfig() if cfg is None else cfg
-    cfg._check_ranges()
-    work = _prepare(rho, cfg)
-    phi = choimod.choi_from_state(work)
-    report = fixed_point_iterate(phi, tol=cfg.tol, max_iter=cfg.max_iter)
-    (result,) = _finish_stack([(work, phi, report)], cfg)
+    (result,) = copula_batch([rho], cfg)
     if isinstance(result, QcopulaError):
         raise result
     return result
 
 
 def copula_batch(rhos, cfg: SolverConfig | None = None) -> list:
-    """``copula_of`` for many states of one dims, with their fixed points
+    """The copulas of many states of one dims, with their fixed points
     solved by one ``fixed_point_batch`` and their tails finished in stacks
     of ``batch_chunk`` states.
 

@@ -96,6 +96,10 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _too_large(what: str, r: int, c: int) -> InvalidInput:
+    return InvalidInput(f"{what}: entry ({r}, {c}) is too large for a float")
+
+
 def pairs_to_complex(rows, what: str = "matrix") -> np.ndarray:
     """Unpack nested [re, im] pairs into a complex matrix."""
     out = []
@@ -108,7 +112,10 @@ def pairs_to_complex(rows, what: str = "matrix") -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
             ):
                 raise InvalidInput(f"{what}: entry ({r}, {c}) is not a [re, im] pair")
-            vals.append(complex(cell[0], cell[1]))
+            try:
+                vals.append(complex(cell[0], cell[1]))
+            except OverflowError:
+                raise _too_large(what, r, c) from None
         out.append(vals)
     return _finite(np.array(out, dtype=np.complex128), what)
 
@@ -121,4 +128,9 @@ def real_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         for c, cell in enumerate(row):
             if not isinstance(cell, (int, float)) or isinstance(cell, bool):
                 raise InvalidInput(f"{what}: entry ({r}, {c}) is not a number")
+            if isinstance(cell, int):
+                try:
+                    float(cell)
+                except OverflowError:
+                    raise _too_large(what, r, c) from None
     return _finite(np.array(rows, dtype=np.float64), what)

@@ -23,13 +23,14 @@ RANK_TOL = 1e-10  # support: eigenvalues above this fraction of the largest
 
 def _spectra(mats, what: str):
     """The checks and eigendecompositions ``hilbert_distance`` makes of each
-    matrix. Returns (out, stacks): ``out[k]`` is the error matrix k fails
-    on, in the single call's order (``matcore.require_hermitian``, a
-    numerically zero matrix, a negative eigenvalue), or (n, row, rank) for
-    a matrix that passes; ``stacks[n]`` holds the Hermitian parts and
-    eigenpairs (h, w, v) of the size-n matrices that reached ``eigh``, and
-    rank counts the eigenvalues above ``RANK_TOL`` of the largest. The
-    Hermitian check and the Frobenius norm are taken matrix by matrix."""
+    matrix of one side of a call, which all have one size. Returns (out,
+    stack): ``out[k]`` is the error matrix k fails on, in the single call's
+    order (``matcore.require_hermitian``, a numerically zero matrix, a
+    negative eigenvalue), or (n, row, rank) for an n x n matrix that
+    passes; ``stack`` holds the Hermitian parts and eigenpairs (h, w, v) of
+    the matrices that reached ``eigh``, or is None if none did, and rank
+    counts the eigenvalues above ``RANK_TOL`` of the largest. The Hermitian
+    check and the Frobenius norm are taken matrix by matrix."""
     hs: list = []
     for mat in mats:
         try:
@@ -37,27 +38,27 @@ def _spectra(mats, what: str):
         except QcopulaError as exc:
             hs.append(exc)
     out = list(hs)
-    sizes: dict = {}
+    idx = []
     for k, h in enumerate(hs):
         if isinstance(h, QcopulaError):
             continue
         if float(np.linalg.norm(h)) <= ZERO_FNORM_TOL:
             out[k] = ZeroMatrix(f"{what} is numerically zero")
         else:
-            sizes.setdefault(h.shape[0], []).append(k)
-    stacks = {}
-    for n, idx in sizes.items():
-        h = np.stack([hs[k] for k in idx])
-        w, v = np.linalg.eigh(h)
-        stacks[n] = (h, w, v)
-        ranks = np.count_nonzero(w > RANK_TOL * w[:, -1:], axis=1).tolist()
-        lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
-        for row, (k, lo, hi, rank) in enumerate(zip(idx, lows, highs, ranks)):
-            if lo < -RANK_TOL * max(hi, 0.0) - ZERO_FNORM_TOL:
-                out[k] = NotPSD(f"{what} has negative eigenvalue {lo:.3e}")
-            else:
-                out[k] = (n, row, rank)
-    return out, stacks
+            idx.append(k)
+    if not idx:
+        return out, None
+    h = np.stack([hs[k] for k in idx])
+    w, v = np.linalg.eigh(h)
+    n = h.shape[-1]
+    ranks = np.count_nonzero(w > RANK_TOL * w[:, -1:], axis=1).tolist()
+    lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
+    for row, (k, lo, hi, rank) in enumerate(zip(idx, lows, highs, ranks)):
+        if lo < -RANK_TOL * max(hi, 0.0) - ZERO_FNORM_TOL:
+            out[k] = NotPSD(f"{what} has negative eigenvalue {lo:.3e}")
+        else:
+            out[k] = (n, row, rank)
+    return out, (h, w, v)
 
 
 def _rows(stack: np.ndarray, rows: list) -> np.ndarray:
@@ -72,10 +73,10 @@ def _support(v: np.ndarray, rank: int) -> np.ndarray:
 
 
 def _same_rank_distances(ha, va, wb, vb, rank: int) -> list:
-    """Distances of stacked pairs of one size whose supports both have rank
-    ``rank``, from a's Hermitian parts and eigenvectors and b's eigenpairs:
-    inf where the supports differ, else log(max/min) over the spectrum of
-    the whitened a on b's support."""
+    """Distances of stacked pairs whose supports both have rank ``rank``,
+    from a's Hermitian parts and eigenvectors and b's eigenpairs: inf where
+    the supports differ, else log(max/min) over the spectrum of the
+    whitened a on b's support."""
     n = ha.shape[-1]
     basis = _support(vb, rank)
     same = np.ones(len(ha), dtype=bool)
@@ -97,12 +98,11 @@ def _same_rank_distances(ha, va, wb, vb, rank: int) -> list:
 def _distances(a_mats, b_mats) -> list:
     """The distance of each pair (a_mats[k], b_mats[k]), or the
     ``QcopulaError`` of the first check it fails: a's checks come before
-    b's, then the shapes. The eigendecompositions run on stacks of one
-    shape, the whitening on stacks of one shape and support rank; the
-    checks, the Frobenius norms and the logarithms are taken one matrix at
-    a time.
+    b's, then the shapes. The eigendecompositions run on one stack per
+    side, the whitening on stacks of one support rank; the checks, the
+    Frobenius norms and the logarithms are taken one matrix at a time.
     """
-    (a_side, a_stacks), (b_side, b_stacks) = _spectra(a_mats, "a"), _spectra(b_mats, "b")
+    (a_side, a_stack), (b_side, b_stack) = _spectra(a_mats, "a"), _spectra(b_mats, "b")
     out: list = []
     groups: dict = {}
     for k, (a, b) in enumerate(zip(a_side, b_side)):
@@ -114,11 +114,11 @@ def _distances(a_mats, b_mats) -> list:
             out.append(math.inf)
         else:
             out.append(None)
-            groups.setdefault((a[0], a[2]), []).append((k, a[1], b[1]))
-    for (n, rank), members in groups.items():
+            groups.setdefault(a[2], []).append((k, a[1], b[1]))
+    for rank, members in groups.items():
         ks, rows_a, rows_b = (list(x) for x in zip(*members))
-        ha, _, va = (_rows(x, rows_a) for x in a_stacks[n])
-        _, wb, vb = (_rows(x, rows_b) for x in b_stacks[n])
+        ha, _, va = (_rows(x, rows_a) for x in a_stack)
+        _, wb, vb = (_rows(x, rows_b) for x in b_stack)
         for k, d in zip(ks, _same_rank_distances(ha, va, wb, vb, rank)):
             out[k] = d
     return out

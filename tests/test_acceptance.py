@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qcopula import choi, copula, pmetric, sinkhorn, states
+from oracles import choi_from_map
 from spectral_certificate import certified_kappa, contraction_ratios
 
 BATCH_DIMS = ((2, 2), (2, 3), (3, 3))
@@ -209,13 +210,13 @@ def test_criterion_09_choi_layer_identities():
         phi = choi.ChoiOperator(rand(6, 6), 2, 3)
         a, b = rand(2, 2), rand(3, 3)
         pairs = (
-            (choi.choi_from_map(lambda x: b @ choi.apply(phi, x), 2, 3).choi,
+            (choi_from_map(lambda x: b @ choi.apply(phi, x), 2, 3).choi,
              np.kron(np.eye(2), b) @ phi.choi),
-            (choi.choi_from_map(lambda x: choi.apply(phi, x) @ b, 2, 3).choi,
+            (choi_from_map(lambda x: choi.apply(phi, x) @ b, 2, 3).choi,
              phi.choi @ np.kron(np.eye(2), b)),
-            (choi.choi_from_map(lambda x: choi.apply(phi, a @ x), 2, 3).choi,
+            (choi_from_map(lambda x: choi.apply(phi, a @ x), 2, 3).choi,
              np.kron(a.T, np.eye(3)) @ phi.choi),
-            (choi.choi_from_map(lambda x: choi.apply(phi, x @ a), 2, 3).choi,
+            (choi_from_map(lambda x: choi.apply(phi, x @ a), 2, 3).choi,
              phi.choi @ np.kron(a.T, np.eye(3))),
         )
         for direct, product in pairs:

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from qcopula import choi, copula, states
-from qcopula.errors import NotConverged, QcopulaError, SingularIntermediate, VerificationFailed
+from qcopula.errors import (
+    InvalidInput,
+    NotConverged,
+    QcopulaError,
+    RankDeficient,
+    SingularIntermediate,
+    VerificationFailed,
+)
 
 
 def bits(a):
@@ -88,14 +95,45 @@ class TestBitIdentity:
         assert_same_report(got, copula.fixed_point_iterate(phi))
 
     def test_single_solves_stay_serial(self, monkeypatch):
-        def no_batch(*args, **kwargs):
-            raise AssertionError("the batch was called")
+        # copula_of is a batch of one, whose fixed point is a chunk of one
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a single solve was stacked")
 
-        monkeypatch.setattr(copula, "fixed_point_batch", no_batch)
-        monkeypatch.setattr(copula, "_fixed_point_stack", no_batch)
+        monkeypatch.setattr(copula, "_fixed_point_stack", no_stack)
         rho = states.random_full_rank_state(2, 2, 0)
-        assert copula.copula_of(rho).report.converged
-        assert copula.fixed_point_iterate(choi.choi_from_state(rho)).converged
+        got = copula.copula_of(rho).report
+        assert got.converged
+        assert_same_report(got, copula.fixed_point_iterate(choi.choi_from_state(rho)))
+
+    @pytest.mark.parametrize(
+        "rho, cfg, error",
+        [
+            (
+                states.DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), 2, 2),
+                None,
+                RankDeficient,
+            ),
+            (states.random_full_rank_state(2, 2, 0), copula.SolverConfig(max_iter=2), NotConverged),
+            (states.random_full_rank_state(2, 2, 0), copula.SolverConfig(tol=-1.0), InvalidInput),
+        ],
+        ids=["rank-deficient", "max-iter-2", "tol-out-of-range"],
+    )
+    def test_single_solve_unwraps_the_batch_of_one(self, rho, cfg, error):
+        # copula_of raises what copula_batch([rho]) holds or raises: the
+        # same type, message and report
+        try:
+            (want,) = copula.copula_batch([rho], cfg)
+        except QcopulaError as exc:
+            want = exc
+        assert type(want) is error
+        with pytest.raises(error) as got:
+            copula.copula_of(rho, cfg)
+        assert type(got.value) is error
+        assert str(got.value) == str(want)
+        if error is NotConverged:
+            assert_same_report(got.value.report, want.report)
+        else:
+            assert not hasattr(got.value, "report") and not hasattr(want, "report")
 
 
 class TestOwnFailures:

@@ -7,6 +7,7 @@ import pytest
 
 from qcopula import choi, matcore, states
 from qcopula.errors import ShapeMismatch
+from oracles import adjoint, apply_via_partial_trace, choi_from_map
 from spectral_certificate import obeys_positivity_certificate
 
 
@@ -40,7 +41,7 @@ class TestChoiFromState:
         for i in range(2):
             for j in range(2):
                 expected = np.eye(2) / 4 if i == j else np.zeros((2, 2))
-                np.testing.assert_array_equal(phi.tensor_view()[i, :, j, :], expected)
+                np.testing.assert_array_equal(phi.choi.reshape(2, 2, 2, 2)[i, :, j, :], expected)
 
     def test_choi_is_read_only(self):
         # The map's products use a matrix stored at construction, so the
@@ -95,7 +96,7 @@ class TestApply:
             phi = random_choi(rng, 3, 2)
             x = random_complex(rng, 3, 3)
             a = choi.apply(phi, x)
-            b = choi.apply_via_partial_trace(phi, x)
+            b = apply_via_partial_trace(phi, x)
             assert np.abs(a - b).max() <= 1e-13 * max(np.abs(a).max(), 1.0)
 
     def test_zero_input(self):
@@ -166,7 +167,7 @@ class TestAdjoint:
     def test_adjoint_operator_matches_apply_adjoint(self):
         rng = np.random.default_rng(8)
         phi = random_choi(rng, 2, 3)
-        phi_star = choi.adjoint(phi)
+        phi_star = adjoint(phi)
         assert (phi_star.dim_in, phi_star.dim_out) == (3, 2)
         y = random_complex(rng, 3, 3)
         np.testing.assert_allclose(
@@ -192,7 +193,7 @@ class TestCompositionTransforms:
         for _ in range(250):
             phi = random_choi(rng, 2, 3)
             b = random_complex(rng, 3, 3)
-            direct = choi.choi_from_map(lambda x: b @ choi.apply(phi, x), 2, 3)
+            direct = choi_from_map(lambda x: b @ choi.apply(phi, x), 2, 3)
             expected = np.kron(np.eye(2), b) @ phi.choi
             assert np.abs(direct.choi - expected).max() <= 1e-11 * np.abs(expected).max()
 
@@ -201,7 +202,7 @@ class TestCompositionTransforms:
         for _ in range(250):
             phi = random_choi(rng, 2, 3)
             b = random_complex(rng, 3, 3)
-            direct = choi.choi_from_map(lambda x: choi.apply(phi, x) @ b, 2, 3)
+            direct = choi_from_map(lambda x: choi.apply(phi, x) @ b, 2, 3)
             expected = phi.choi @ np.kron(np.eye(2), b)
             assert np.abs(direct.choi - expected).max() <= 1e-11 * np.abs(expected).max()
 
@@ -211,7 +212,7 @@ class TestCompositionTransforms:
         for _ in range(250):
             phi = random_choi(rng, 2, 3)
             a = random_complex(rng, 2, 2)
-            direct = choi.choi_from_map(lambda x: choi.apply(phi, a @ x), 2, 3)
+            direct = choi_from_map(lambda x: choi.apply(phi, a @ x), 2, 3)
             expected = np.kron(a.T, np.eye(3)) @ phi.choi
             assert np.abs(direct.choi - expected).max() <= 1e-11 * np.abs(expected).max()
 
@@ -220,7 +221,7 @@ class TestCompositionTransforms:
         for _ in range(250):
             phi = random_choi(rng, 2, 3)
             a = random_complex(rng, 2, 2)
-            direct = choi.choi_from_map(lambda x: choi.apply(phi, x @ a), 2, 3)
+            direct = choi_from_map(lambda x: choi.apply(phi, x @ a), 2, 3)
             expected = phi.choi @ np.kron(a.T, np.eye(3))
             assert np.abs(direct.choi - expected).max() <= 1e-11 * np.abs(expected).max()
 

@@ -285,7 +285,7 @@ class TestBatchedSuites:
     def test_documents_match_case_by_case_solves(self, tmp_path, monkeypatch, suite, flags):
         argv = ["experiment", suite, "--count", "12", "--seed", "5", *flags]
         code, doc = self.run(argv, tmp_path, "batch.json")
-        copula_of, fixed_point_iterate = cli.copmod.copula_of, cli.copmod.fixed_point_iterate
+        copula_batch, fixed_point_iterate = cli.copmod.copula_batch, cli.copmod.fixed_point_iterate
 
         def serial(fn, *args, **kwargs):
             try:
@@ -294,9 +294,11 @@ class TestBatchedSuites:
                 return exc
 
         def copulas(rhos, cfg):
-            return [serial(copula_of, rho, cfg) for rho in rhos]
+            # copula_of's route, one state at a time: a batch of one
+            return [item for rho in rhos for item in copula_batch([rho], cfg)]
 
-        def fixed_points(phis, tol, max_iter, inits):
+        def fixed_points(phis, tol, max_iter, inits=None):
+            inits = [None] * len(phis) if inits is None else inits
             return [
                 serial(fixed_point_iterate, phi, tol=tol, max_iter=max_iter, init=init)
                 for phi, init in zip(phis, inits)
@@ -476,3 +478,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 3
+
+
+class TestOversizedIntegers:
+    """A JSON integer too large for a float is invalid input wherever the
+    CLI reads a number: exit 3 naming the entry or field, no traceback."""
+
+    HUGE = 10**400  # 401 digits
+
+    @pytest.mark.parametrize("place", ["state-entry", "config-field", "classical-entry"])
+    def test_exits_3_naming_the_entry(self, tmp_path, capsys, place):
+        state = maximally_mixed_doc()
+        if place == "state-entry":
+            state["matrix"][1][2] = [0.0, self.HUGE]
+            message = "matrix: entry (1, 2) is too large for a float"
+        argv = ["copula", write_json(tmp_path / "in.json", state)]
+        if place == "config-field":
+            argv += ["--config", write_json(tmp_path / "cfg.json", {"tol": self.HUGE})]
+            message = "config: tol is too large for a float"
+        if place == "classical-entry":
+            argv = ["classical", write_json(tmp_path / "in.json", [[1.0, 2.0], [self.HUGE, 4.0]])]
+            message = "matrix: entry (1, 0) is too large for a float"
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

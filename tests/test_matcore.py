@@ -58,9 +58,6 @@ def _intake_calls():
         "ChoiOperator": ("Choi matrix", 6, lambda bad: choi.ChoiOperator(bad, 2, 3)),
         "apply": ("input", 2, lambda bad: choi.apply(phi, bad)),
         "apply_adjoint": ("input", 3, lambda bad: choi.apply_adjoint(phi, bad)),
-        "apply_via_partial_trace": (
-            "input", 2, lambda bad: choi.apply_via_partial_trace(phi, bad)
-        ),
         "verify_connection-a": ("a", 2, lambda bad: copula.verify_connection(rho, rho, bad, b)),
         "verify_connection-b": ("b", 3, lambda bad: copula.verify_connection(rho, rho, a, bad)),
         "fixed_point_iterate-init": (
