@@ -1,16 +1,20 @@
 """Command-line surface: single-state copula solves, batch experiment
 suites, and the classical doubly-stochastic scaler.
 
-All outputs are deterministic JSON (17-significant-digit floats); the only
-run-dependent field is ``timing_ms``. Exit codes: 0 success, 1 experiment
-suite reported failing cases or a solve failed its own verification (an
-internal bug), 2 solver did not converge, 3 invalid input or usage, 4
-unknown suite name.
+All outputs are deterministic JSON written by ``jsonio.canonical_dumps``:
+each float is its shortest round-trip ``repr`` (an integral float keeps
+its decimal point), an object has one member per line, an array of
+objects one element per line, and every other value is one line. The
+only run-dependent field is ``timing_ms``. Exit codes: 0 success, 1
+experiment suite reported failing cases or a solve failed its own
+verification (an internal bug), 2 solver did not converge, 3 invalid
+input or usage, 4 unknown suite name.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
 import math
@@ -89,14 +93,9 @@ def _resolve_config(args) -> SolverConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = SolverConfig.from_dict(json.load(fh))
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        cfg.max_iter = args.max_iter
-    if getattr(args, "regularize", None) is not None:
-        cfg.regularize = args.regularize
-    if getattr(args, "reg_eps", None) is not None:
-        cfg.reg_eps = args.reg_eps
+    for name in ("tol", "max_iter", "regularize", "reg_eps"):
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     cfg._check_ranges()
     return cfg
 
@@ -175,8 +174,6 @@ def cmd_classical(args) -> int:
         raw = fh.read()
     obj = json.loads(raw.decode("utf-8"))
     mat = jsonio.real_matrix_from_json(obj)
-    if mat.shape[0] != mat.shape[1]:
-        raise QcopulaError(f"matrix must be square, got shape {mat.shape}")
     start = time.perf_counter()
     try:
         pair = sinkhorn.sinkhorn_scale(mat, tol=args.tol, max_iter=args.max_iter)
@@ -191,9 +188,9 @@ def cmd_classical(args) -> int:
         return EXIT_NOT_CONVERGED
     doc = {
         "input_digest": _digest(raw),
-        "d1": [float(x) for x in pair.d1],
-        "d2": [float(x) for x in pair.d2],
-        "scaled": [[float(x) for x in row] for row in pair.scaled],
+        "d1": pair.d1.tolist(),
+        "d2": pair.d2.tolist(),
+        "scaled": pair.scaled.tolist(),
         "iterations": pair.iterations,
         "max_deviation": pair.max_deviation,
         "converged": True,
@@ -217,10 +214,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def _iteration_histogram(counts: list[int]) -> list[list[int]]:
-    hist: dict[int, int] = {}
-    for c in counts:
-        hist[c] = hist.get(c, 0) + 1
-    return [[k, hist[k]] for k in sorted(hist)]
+    return [list(item) for item in sorted(collections.Counter(counts).items())]
 
 
 class _Suite(NamedTuple):

@@ -1,78 +1,60 @@
 """Deterministic JSON emission and complex-matrix packing.
 
-Floats are written with 17 significant digits so identical runs produce
-byte-identical documents and every value round-trips exactly.
+``json.dumps`` writes every value, so each float is its shortest
+round-trip ``repr``: it reads back as the same double, an integral float
+keeps its decimal point (``5.0``, ``-0.0``, ``1e+16``) and so reads back as
+a float. The layout is fixed: an object has one member per line, indented
+two spaces a level; an array whose elements are all objects (the
+experiment cases) has one element per line; every other value, such an
+element included, is written on one line.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .errors import InvalidInput
 
-INDENT = 2  # spaces per level of object nesting
+INDENT = 2  # spaces per level of nesting
 
 
-def format_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("non-finite float cannot be serialized")
-    return format(x, ".17g")
+def _plain(obj):
+    """A numpy scalar or array as the Python value ``json`` writes."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _emit(obj, parts: list, level: int) -> None:
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        parts.append("[")
-        for k, item in enumerate(items):
-            if k:
-                parts.append(", ")
-            _emit(item, parts, level)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        pad = " " * (INDENT * (level + 1))
-        parts.append("{\n")
-        for k, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise ValueError("JSON object keys must be strings")
-            if k:
-                parts.append(",\n")
-            parts.append(pad + json.dumps(key) + ": ")
-            _emit(value, parts, level + 1)
-        parts.append("\n" + " " * (INDENT * level) + "}")
+def _line(obj) -> str:
+    return json.dumps(obj, allow_nan=False, default=_plain)
+
+
+def _layout(obj, pad: str) -> str:
+    inner = pad + " " * INDENT
+    if isinstance(obj, dict) and obj:
+        ends = "{}"
+        items = [f"{json.dumps(key)}: {_layout(value, inner)}" for key, value in obj.items()]
+    elif isinstance(obj, list) and obj and all(isinstance(item, dict) for item in obj):
+        ends = "[]"
+        items = [_line(item) for item in obj]
     else:
-        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+        return _line(obj)
+    body = ",\n".join(inner + item for item in items)
+    return f"{ends[0]}\n{body}\n{pad}{ends[1]}"
 
 
 def canonical_dumps(obj) -> str:
-    """Serialize ``obj`` deterministically; dicts keep insertion order,
-    lists are emitted on one line."""
-    parts: list = []
-    _emit(obj, parts, 0)
-    parts.append("\n")
-    return "".join(parts)
+    """Serialize ``obj`` deterministically, in the layout above; objects
+    keep insertion order, and a non-finite float raises ``ValueError``."""
+    return _layout(obj, "") + "\n"
 
 
 def complex_matrix_to_pairs(mat) -> list:
     """Pack a complex matrix as nested lists of [re, im] pairs."""
     m = np.asarray(mat, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def _rows(rows, what: str):

@@ -52,6 +52,14 @@ def operators(n, m, seeds):
     return [choi.choi_from_state(states.random_full_rank_state(n, m, s)) for s in seeds]
 
 
+def near_singular_state():
+    """A classical (2,2) state whose eigenvalue floor, 1e-16 of the top,
+    passes the rank check only at rank_tol=0. Its contraction passes three
+    steps, and the fourth application of T fails the forward floor."""
+    weights = np.array([1.0, 1e-13, 1.0, 1e-16])
+    return states.DensityMatrix(np.diag(weights / weights.sum()), 2, 2)
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_copulas_match_serial(self, dims):
@@ -159,6 +167,20 @@ class TestOwnFailures:
         assert_same_report(got[0], copula.fixed_point_iterate(first))
         assert_same_report(got[2], copula.fixed_point_iterate(last))
 
+    def test_floor_failed_at_the_extra_application(self):
+        # with max_iter=3 the loop's steps pass and the application of T
+        # that reads lam off the last ray fails
+        first, last = operators(2, 2, (0, 1))
+        bad = choi.choi_from_state(near_singular_state())
+        copula.fixed_point_iterate(bad, max_iter=2)
+        with pytest.raises(SingularIntermediate) as serial:
+            copula.fixed_point_iterate(bad, max_iter=3)
+        got = copula.fixed_point_batch([first, bad, last], max_iter=3)
+        assert type(got[1]) is SingularIntermediate
+        assert str(got[1]) == str(serial.value)
+        assert_same_report(got[0], copula.fixed_point_iterate(first, max_iter=3))
+        assert_same_report(got[2], copula.fixed_point_iterate(last, max_iter=3))
+
     def test_every_state_failing_one_step(self):
         # the whole stack leaves at the forward floor; the adjoint step
         # then runs on an empty stack
@@ -225,6 +247,40 @@ class TestOwnFailures:
         assert_same_copula(got[4], serial_copula(rhos[4]))
         for k in (0, 1, 2, 3, 5, 6, 7, 8):
             assert_same_copula(got[k], want[k])
+
+    def test_singular_scalers_in_the_middle_of_a_stack(self, monkeypatch):
+        # one converged run hands extract_scalers a zero ray, whose forward
+        # image fails the floor: that state's tail fails as a single
+        # solve's does, and the states stacked with it finish as before
+        rhos = [states.random_full_rank_state(2, 3, seed) for seed in range(9)]
+        want = [serial_copula(rho) for rho in rhos]
+        bad = choi.choi_from_state(rhos[4])._realigned.tobytes()
+        original = copula.fixed_point_batch
+
+        def one_zero_ray(phis, **kwargs):
+            reports = original(phis, **kwargs)
+            for phi, report in zip(phis, reports):
+                if phi._realigned.tobytes() == bad:
+                    report.phi_ray = np.zeros_like(report.phi_ray)
+            return reports
+
+        monkeypatch.setattr(copula, "fixed_point_batch", one_zero_ray)
+        got = copula.copula_batch(rhos)
+        assert type(got[4]) is SingularIntermediate
+        assert_same_copula(got[4], serial_copula(rhos[4]))
+        for k in (0, 1, 2, 3, 5, 6, 7, 8):
+            assert_same_copula(got[k], want[k])
+
+    def test_singular_run_in_the_middle_of_a_stack(self):
+        # the near-singular state passes the rank check at rank_tol=0 and
+        # its fixed-point run fails a floor; its neighbours verify
+        cfg = copula.SolverConfig(rank_tol=0.0)
+        rhos = [states.random_full_rank_state(2, 2, 0), near_singular_state(),
+                states.random_full_rank_state(2, 2, 1)]
+        got = copula.copula_batch(rhos, cfg)
+        assert type(got[1]) is SingularIntermediate
+        for item, rho in zip(got, rhos):
+            assert_same_copula(item, serial_copula(rho, cfg))
 
     def test_unconverged_run_in_the_middle_of_a_stack(self):
         # seed 3 at (2,2) takes 11 steps, seeds 0..7 otherwise at most 10

@@ -504,3 +504,48 @@ class TestOversizedIntegers:
         assert captured.err == f"error: {message}\n"
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestInvalidArguments:
+    """A malformed argument or document exits 3 with one error line on
+    stderr, no traceback and no document."""
+
+    NAN = float("nan")  # json.dumps writes it as NaN, which json.loads reads back
+
+    @pytest.mark.parametrize(
+        "command, given, message",
+        [
+            ("experiment", ["--dims", "2,x"], "dims must be integers, got '2,x'"),
+            ("experiment", ["--dims", "0,2"], "dims must be positive"),
+            ("experiment", ["--count", "0"], "count must be >= 1"),
+            ("copula", [[1.0]], "document: expected a JSON object"),
+            ("copula", {"dims": [2, 2.0]},
+             'dims: expected "dims": [n, m] with positive integers'),
+            ("copula", {"dims": [1, 1], "matrix": "x"},
+             "matrix: expected a non-empty list of rows"),
+            ("copula", {"dims": [1, 2], "matrix": [[[1.0, 0.0]], "x"]},
+             "matrix: row 1 is not a list"),
+            ("copula", {"dims": [1, 1], "matrix": [[[NAN, 0.0]]]},
+             "matrix: entries must be finite"),
+            ("classical", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+             "matrix must be square, got shape (2, 3)"),
+            ("classical", {"matrix": [[1.0, NAN], [1.0, 1.0]]},
+             "matrix: entries must be finite"),
+        ],
+        ids=[
+            "dims-not-integer", "dims-zero", "count-zero", "state-array", "state-float-dims",
+            "state-matrix-string", "state-row-string", "state-nan", "classical-2x3",
+            "classical-nan",
+        ],
+    )
+    def test_exits_3_with_one_error_line(self, tmp_path, capsys, command, given, message):
+        out = tmp_path / "out.json"
+        if command == "experiment":
+            argv = ["experiment", "lambda", *given]
+        else:
+            argv = [command, write_json(tmp_path / "in.json", given)]
+        assert cli.main([*argv, "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,55 @@ class TestCanonicalDumps:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             jsonio.canonical_dumps({"x": math.inf})
+
+    def test_layout_is_pinned(self):
+        doc = {
+            "nested": {"inner": {"empty_object": {}, "empty_list": []}},
+            "cases": [{"index": 0, "pass": True}, {"index": 1, "pass": None}],
+            "grid": [[1, 2.5], [-0.0, [3]]],
+            "text": 'quote " backslash \\ non-ASCII \u00e9',
+            "int": 7,
+            "floats": [0.1, 5.0, -0.0, 1e-300, 1e16],
+            "numpy": {
+                "float64": np.float64(0.1),
+                "int64": np.int64(-3),
+                "bool": np.bool_(False),
+                "array": np.array([[1.5, -0.0], [2.0, 1e16]]),
+            },
+        }
+        text = jsonio.canonical_dumps(doc)
+        assert text == (
+            "{\n"
+            '  "nested": {\n'
+            '    "inner": {\n'
+            '      "empty_object": {},\n'
+            '      "empty_list": []\n'
+            "    }\n"
+            "  },\n"
+            '  "cases": [\n'
+            '    {"index": 0, "pass": true},\n'
+            '    {"index": 1, "pass": null}\n'
+            "  ],\n"
+            '  "grid": [[1, 2.5], [-0.0, [3]]],\n'
+            '  "text": "quote \\" backslash \\\\ non-ASCII \\u00e9",\n'
+            '  "int": 7,\n'
+            '  "floats": [0.1, 5.0, -0.0, 1e-300, 1e+16],\n'
+            '  "numpy": {\n'
+            '    "float64": 0.1,\n'
+            '    "int64": -3,\n'
+            '    "bool": false,\n'
+            '    "array": [[1.5, -0.0], [2.0, 1e+16]]\n'
+            "  }\n"
+            "}\n"
+        )
+        # every float reads back as a float with the same bits, -0.0 included
+        back = json.loads(text)
+        assert back["text"] == doc["text"]
+        got = back["floats"] + [back["numpy"]["float64"]] + sum(back["numpy"]["array"], [])
+        want = doc["floats"] + [0.1] + doc["numpy"]["array"].ravel().tolist()
+        for a, b in zip(got, want, strict=True):
+            assert type(a) is float
+            assert struct.pack("<d", a) == struct.pack("<d", b)
 
     def test_valid_json(self):
         doc = {"s": 'quote " and \\ backslash', "n": [1, 2.5], "empty": {}}

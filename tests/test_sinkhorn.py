@@ -65,6 +65,14 @@ class TestSinkhornScale:
         with pytest.raises(InvalidInput):
             sinkhorn.sinkhorn_scale(np.ones((2, 3)))
 
+    def test_rejects_nan_entry(self):
+        with pytest.raises(InvalidInput, match="finite"):
+            sinkhorn.sinkhorn_scale(np.array([[1.0, np.nan], [1.0, 1.0]]))
+
+    def test_rejects_negative_d2_init(self):
+        with pytest.raises(InvalidInput, match="d2_init"):
+            sinkhorn.sinkhorn_scale(np.ones((2, 2)), d2_init=[1.0, -1.0])
+
     def test_not_converged(self):
         with pytest.raises(NotConverged):
             sinkhorn.sinkhorn_scale(np.array([[1.0, 2.0], [3.0, 4.0]]), max_iter=1)

@@ -39,6 +39,10 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInput, match="dims"):
             states.DensityMatrix(np.eye(4) / 4, 2, 3)
 
+    def test_rejects_non_positive_dims(self):
+        with pytest.raises(InvalidInput, match="factor dimensions must be positive"):
+            states.DensityMatrix(np.eye(4) / 4, 0, 4)
+
     def test_rejects_non_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 0.2
