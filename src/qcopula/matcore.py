@@ -30,8 +30,10 @@ def as_cmatrix(a, dim: int, what: str) -> np.ndarray:
     return m
 
 
-def max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def max_abs(a: np.ndarray):
+    """Largest entry magnitude of one matrix or of each in a stack; 0.0 for
+    an empty matrix, NaN where a matrix holds a NaN."""
+    return np.abs(a).max(axis=(-2, -1), initial=0.0)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -39,9 +41,50 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """Largest entry of |a - a*|; zero exactly for Hermitian input."""
-    return max_abs(a - a.conj().T)
+def hermitian_defect(a: np.ndarray):
+    """Largest entry of |a - a*| of one matrix or of each in a stack; zero
+    exactly for Hermitian input."""
+    return max_abs(a - a.conj().swapaxes(-1, -2))
+
+
+def hermitian_parts(
+    a: np.ndarray, rtol: float = HERMITIAN_RTOL, what: str = "matrix", scale_floor: float = 0.0
+):
+    """The Hermitian check of one square complex matrix or of each in a
+    stack (S, d, d): returns (h, errors), h the Hermitian parts as a fresh
+    array of a's shape and errors a list with one entry per matrix, None
+    where it passes, else the ``NonFinite`` or ``NotHermitian`` error
+    ``require_hermitian`` raises for it alone. A matrix passes when it is
+    finite and Hermitian within ``rtol * max(scale, scale_floor)``, scale
+    its largest entry magnitude. The parts of failing matrices are not
+    meaningful, and non-finite entries raise no ``RuntimeWarning``."""
+    stack = a if a.ndim == 3 else a[None]
+    scale = max_abs(stack)
+    if scale_floor:
+        scale = np.maximum(scale, scale_floor)
+    # NaN or Inf anywhere makes a matrix's largest magnitude, and the sum of
+    # the scales, non-finite; inf - inf in the defect would then warn. A sum
+    # that overflows on finite scales only takes the guarded branch.
+    if math.isfinite(sum(scale.tolist())):
+        defect = hermitian_defect(stack)
+        h = hermitian_part(a)
+        bad = defect > rtol * scale
+    else:
+        with np.errstate(invalid="ignore"):
+            defect = hermitian_defect(stack)
+            h = hermitian_part(a)
+        bad = ~np.isfinite(scale) | (defect > rtol * scale)
+    errors = [None] * len(stack)
+    for k in bad.nonzero()[0].tolist():
+        s = float(scale[k])
+        if math.isfinite(s):
+            errors[k] = NotHermitian(
+                f"{what} is not Hermitian within {rtol:g} relative "
+                f"(defect {float(defect[k]):.3e}, scale {s:.3e})"
+            )
+        else:
+            errors[k] = NonFinite(f"{what} contains NaN or Inf entries")
+    return h, errors
 
 
 def require_hermitian(
@@ -49,7 +92,8 @@ def require_hermitian(
 ) -> np.ndarray:
     """Validate that ``a`` is a finite square matrix, Hermitian within
     ``rtol * max(scale, scale_floor)`` where scale is its largest entry
-    magnitude, and return its Hermitian part as a fresh array.
+    magnitude, and return its Hermitian part as a fresh array: the
+    ``hermitian_parts`` check of one matrix, its error raised.
 
     ``a`` itself is neither copied nor modified, so callers that keep the
     input as given can validate it without a second copy.
@@ -57,17 +101,10 @@ def require_hermitian(
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"{what} must be a square matrix, got shape {m.shape}")
-    scale = max(max_abs(m), scale_floor)
-    # NaN or Inf anywhere makes the largest magnitude non-finite.
-    if not math.isfinite(scale):
-        raise NonFinite(f"{what} contains NaN or Inf entries")
-    defect = hermitian_defect(m)
-    if defect > rtol * scale:
-        raise NotHermitian(
-            f"{what} is not Hermitian within {rtol:g} relative "
-            f"(defect {defect:.3e}, scale {scale:.3e})"
-        )
-    return hermitian_part(m)
+    h, (error,) = hermitian_parts(m, rtol, what, scale_floor)
+    if error is not None:
+        raise error
+    return h
 
 
 def local_congruence(mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,32 +23,36 @@ RANK_TOL = 1e-10  # support: eigenvalues above this fraction of the largest
 
 def _spectra(mats, what: str):
     """The checks and eigendecompositions ``hilbert_distance`` makes of each
-    matrix of one side of a call, which all have one size. Returns (out,
-    stack): ``out[k]`` is the error matrix k fails on, in the single call's
-    order (``matcore.require_hermitian``, a numerically zero matrix, a
-    negative eigenvalue), or (n, row, rank) for an n x n matrix that
-    passes; ``stack`` holds the Hermitian parts and eigenpairs (h, w, v) of
-    the matrices that reached ``eigh``, or is None if none did, and rank
-    counts the eigenvalues above ``RANK_TOL`` of the largest. The Hermitian
-    check and the Frobenius norm are taken matrix by matrix."""
-    hs: list = []
-    for mat in mats:
-        try:
-            hs.append(matcore.require_hermitian(mat, what=what))
-        except QcopulaError as exc:
-            hs.append(exc)
-    out = list(hs)
+    matrix of one side of a call, a stack (S, n, n) or a list of one
+    matrix. Returns (out, stack): ``out[k]`` is the error matrix k fails
+    on, in the single call's order (the square shape, the
+    ``matcore.hermitian_parts`` check, a numerically zero matrix, a
+    negative eigenvalue), or (n, row, rank) for a matrix that passes;
+    ``stack`` holds the Hermitian parts and eigenpairs (h, w, v) of the
+    matrices that reached ``eigh``, or is None if none did, and rank counts
+    the eigenvalues above ``RANK_TOL`` of the largest. The Hermitian check
+    and ``eigh`` each run once on the stack; the Frobenius norm is taken
+    only of the matrices whose largest entry does not already rule out
+    zero."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        message = f"{what} must be a square matrix, got shape {mats.shape[1:]}"
+        return [ShapeMismatch(message) for _ in mats], None
+    h, out = matcore.hermitian_parts(mats, what=what)
+    # the Frobenius norm is at least the largest entry magnitude: above twice
+    # the tolerance, no rounding of the norm brings it down to the tolerance
+    nonzero = (matcore.max_abs(h) > 2 * ZERO_FNORM_TOL).tolist()
     idx = []
-    for k, h in enumerate(hs):
-        if isinstance(h, QcopulaError):
+    for k, (error, surely_nonzero) in enumerate(zip(out, nonzero)):
+        if error is not None:
             continue
-        if float(np.linalg.norm(h)) <= ZERO_FNORM_TOL:
+        if not surely_nonzero and float(np.linalg.norm(h[k])) <= ZERO_FNORM_TOL:
             out[k] = ZeroMatrix(f"{what} is numerically zero")
         else:
             idx.append(k)
     if not idx:
         return out, None
-    h = np.stack([hs[k] for k in idx])
+    h = _rows(h, idx)
     w, v = np.linalg.eigh(h)
     n = h.shape[-1]
     ranks = np.count_nonzero(w > RANK_TOL * w[:, -1:], axis=1).tolist()
@@ -98,9 +102,9 @@ def _same_rank_distances(ha, va, wb, vb, rank: int) -> list:
 def _distances(a_mats, b_mats) -> list:
     """The distance of each pair (a_mats[k], b_mats[k]), or the
     ``QcopulaError`` of the first check it fails: a's checks come before
-    b's, then the shapes. The eigendecompositions run on one stack per
-    side, the whitening on stacks of one support rank; the checks, the
-    Frobenius norms and the logarithms are taken one matrix at a time.
+    b's, then the shapes. The Hermitian checks and the eigendecompositions
+    run on one stack per side, the whitening on stacks of one support rank;
+    the logarithms are taken one pair at a time.
     """
     (a_side, a_stack), (b_side, b_stack) = _spectra(a_mats, "a"), _spectra(b_mats, "b")
     out: list = []

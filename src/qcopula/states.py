@@ -156,15 +156,19 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _gram_state(g: np.ndarray) -> np.ndarray:
+    """GG*/Tr(GG*) of one complex matrix G or of each in a stack."""
+    w = matcore.hermitian_part(g @ g.conj().swapaxes(-1, -2))
+    return w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def wishart_state_matrix(dim: int, seed) -> np.ndarray:
     """Raw trace-one PSD matrix GG*/Tr(GG*) from a complex Gaussian G.
 
     ``seed`` may be an integer or an existing ``numpy.random.Generator``.
     """
     rng = np.random.default_rng(seed)
-    g = _ginibre(rng, dim, dim)
-    w = matcore.hermitian_part(g @ g.conj().T)
-    return w / np.trace(w).real
+    return _gram_state(_ginibre(rng, dim, dim))
 
 
 def random_full_rank_state(n: int, m: int, seed) -> DensityMatrix:
@@ -188,18 +192,33 @@ def random_separable_state(n: int, m: int, terms: int, seed) -> DensityMatrix:
 
     Separable by construction and positive definite for any terms >= 1
     since every product factor is full rank.
+
+    Each attempt draws Dirichlet weights, then the Gaussians of all its
+    terms in one call, in the order ``wishart_state_matrix(n, rng)`` and
+    ``wishart_state_matrix(m, rng)`` would draw them term by term: the real
+    and then the imaginary part of term k's n x n factor, the same for its
+    m x m factor, then term k + 1. The state is bit for bit the sum, in
+    term order, of the weighted Kronecker products of those factors, and
+    a ``Generator`` passed as ``seed`` is left where the term-by-term draws
+    would leave it.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     rng = np.random.default_rng(seed)
     for _ in range(RESAMPLE_ATTEMPTS):
         weights = rng.dirichlet(np.ones(terms))
+        z = rng.standard_normal((terms, 2 * (n * n + m * m)))
+        ar, ai, br, bi = np.split(z, np.cumsum([n * n, n * n, m * m]), axis=1)
+        a = _gram_state((ar + 1j * ai).reshape(terms, n, n))
+        b = _gram_state((br + 1j * bi).reshape(terms, m, m))
+        # the products np.kron(a, b) takes, without its overhead
+        prods = weights[:, None, None] * (
+            a[:, :, None, :, None] * b[:, None, :, None, :]
+        ).reshape(terms, n * m, n * m)
+        # added one by one: a sum over the terms axis may add pairwise
         acc = np.zeros((n * m, n * m), dtype=np.complex128)
-        for p in weights:
-            a = wishart_state_matrix(n, rng)
-            b = wishart_state_matrix(m, rng)
-            # the products np.kron(a, b) takes, without its overhead
-            acc += p * (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+        for term in prods:
+            acc += term
         acc = matcore.hermitian_part(acc)
         acc /= np.trace(acc).real
         rho = DensityMatrix(acc, n, m)

@@ -1,6 +1,7 @@
 """Tests for the dense complex-matrix kernel."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,76 @@ class TestRequireHermitian:
     def test_rejects_invalid_input(self, a, error):
         with pytest.raises(error):
             matcore.require_hermitian(a)
+
+
+def _check_stack():
+    """3 x 3 matrices that pass or fail the Hermitian check in every way:
+    a valid matrix, defects just above and just below rtol * scale, NaN,
+    +Inf and -Inf entries, an exact zero, and tiny scales."""
+    rtol = matcore.HERMITIAN_RTOL
+    valid = np.array([[2.0, 0.5 - 1j, 0.25], [0.5 + 1j, 1.0, -0.5j], [0.25, 0.5j, 3.0]])
+
+    def skewed(mat, defect):
+        out = mat.astype(complex)
+        out[0, 1] += defect
+        return out
+
+    nan, pos, neg = (np.eye(3, dtype=complex) for _ in range(3))
+    nan[2, 1] = np.nan
+    pos[1, 1] = np.inf
+    neg[0, 2] = neg[2, 0] = -np.inf
+    tiny_skew = np.zeros((3, 3), dtype=complex)
+    tiny_skew[0, 1] = 3e-14
+    return {
+        "valid": valid,
+        "defect-above": skewed(valid, 1.01 * rtol * 3.0),
+        "defect-below": skewed(valid, 0.99 * rtol * 3.0),
+        "nan": nan,
+        "+inf": pos,
+        "-inf": neg,
+        "zero": np.zeros((3, 3), dtype=complex),
+        "scale-5e-15": 5e-15 * valid / 3.0,
+        "scale-1e-14": skewed(1e-14 * valid / 3.0, 0.5 * rtol * 1e-14),
+        "scale-3e-14": tiny_skew,
+    }
+
+
+class TestHermitianParts:
+    @pytest.mark.parametrize("scale_floor", [0.0, 1.0])
+    def test_stack_matches_each_single_check(self, scale_floor):
+        cases = _check_stack()
+        stack = np.array(list(cases.values()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, errors = matcore.hermitian_parts(stack, what="m", scale_floor=scale_floor)
+            assert h.shape == stack.shape and len(errors) == len(stack)
+            for name, mat, part, error in zip(cases, stack, h, errors):
+                try:
+                    want = matcore.require_hermitian(mat, what="m", scale_floor=scale_floor)
+                except (NonFinite, NotHermitian) as exc:
+                    assert type(error) is type(exc) and str(error) == str(exc), name
+                else:
+                    assert error is None, name
+                    assert part.tobytes() == want.tobytes(), name
+        kinds = {name: type(e).__name__ for name, e in zip(cases, errors) if e is not None}
+        assert kinds == {
+            "defect-above": "NotHermitian",
+            "nan": "NonFinite",
+            "+inf": "NonFinite",
+            "-inf": "NonFinite",
+            **({} if scale_floor else {"scale-3e-14": "NotHermitian"}),
+        }
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        mat = _check_stack()["defect-above"]
+        h, (error,) = matcore.hermitian_parts(mat)
+        assert h.shape == (3, 3) and isinstance(error, NotHermitian)
+        _, (error,) = matcore.hermitian_parts(_check_stack()["valid"])
+        assert error is None
+
+    def test_empty_stack(self):
+        h, errors = matcore.hermitian_parts(np.empty((0, 3, 3), dtype=complex))
+        assert h.shape == (0, 3, 3) and errors == []
 
 
 class TestLocalCongruence:

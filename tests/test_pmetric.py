@@ -1,12 +1,13 @@
 """Tests for the projective metric."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qcopula import choi, cli, copula, matcore, pmetric, states
-from qcopula.errors import NotHermitian, NotPSD, QcopulaError, ShapeMismatch, ZeroMatrix
+from qcopula.errors import NonFinite, NotHermitian, NotPSD, QcopulaError, ShapeMismatch, ZeroMatrix
 
 
 def random_pd(rng, n):
@@ -168,6 +169,10 @@ class TestStackedDistances:
         proj = u[:, :2] @ u[:, :2].conj().T
         good = [(random_pd(rng, 3), random_pd(rng, 3)) for _ in range(3)]
         a_pd, b_pd = random_pd(rng, 3), random_pd(rng, 3)
+        nan, inf = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+        nan[1, 2] = np.nan
+        inf[0, 1] = inf[1, 0] = -np.inf
+        unit = a_pd / np.abs(a_pd).max()
         pairs = [
             good[0],
             (np.zeros((3, 3)), b_pd),  # zero matrix
@@ -178,11 +183,19 @@ class TestStackedDistances:
             (proj @ a_pd @ proj, proj @ b_pd @ proj),  # common singular support
             (np.outer(u[:, 0], u[:, 0].conj()), np.outer(u[:, 1], u[:, 1].conj())),
             good[2],
+            (nan, b_pd),  # NaN
+            (a_pd, inf),  # -Inf
+            (3e-14 * unit, b_pd),  # tiny, its largest entry rules out zero
+            (a_pd, 0.9e-14 * np.ones((3, 3))),  # tiny, its norm rules out zero
+            (np.diag([7e-15, 5e-15, 0.0]), b_pd),  # tiny, numerically zero
         ]
-        got = pmetric.hilbert_distance(*(np.array(side) for side in zip(*pairs)))
-        kinds = [ZeroMatrix, NotPSD, NotHermitian]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pmetric.hilbert_distance(*(np.array(side) for side in zip(*pairs)))
+        kinds = [ZeroMatrix, NotPSD, NotHermitian, NonFinite, NonFinite, ZeroMatrix]
         assert [type(d) for d in got if isinstance(d, QcopulaError)] == kinds
         assert [math.isinf(d) for d in (got[5], got[6], got[7])] == [True, False, True]
+        assert [math.isinf(d) for d in (got[11], got[12])] == [False, True]
         for d, (x, y) in zip(got, pairs):
             assert same_outcome(d, outcome(pmetric.hilbert_distance, x, y))
             if not isinstance(d, QcopulaError):

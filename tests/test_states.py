@@ -204,22 +204,31 @@ class TestRandomStates:
         b = states.random_separable_state(2, 2, terms=6, seed=5)
         np.testing.assert_array_equal(a.mat, b.mat)
 
-    @pytest.mark.parametrize("dims, terms", [((2, 3), 12), ((3, 2), 6), ((2, 2), 8)])
+    @staticmethod
+    def separable_oracle(n, m, terms, rng):
+        """The sampler term by term: two ``wishart_state_matrix`` draws and
+        one ``np.kron`` a term, summed in order."""
+        acc = np.zeros((n * m, n * m), dtype=np.complex128)
+        for p in rng.dirichlet(np.ones(terms)):
+            a = states.wishart_state_matrix(n, rng)
+            acc += p * np.kron(a, states.wishart_state_matrix(m, rng))
+        acc = matcore.hermitian_part(acc)
+        return matcore.hermitian_part(acc / np.trace(acc).real)
+
+    @pytest.mark.parametrize(
+        "dims, terms",
+        [
+            ((2, 3), 12), ((3, 2), 6), ((2, 2), 8), ((1, 1), 2), ((1, 3), 6),
+            ((3, 3), 18), ((4, 4), 32), ((2, 3), 1), ((3, 3), 1),
+        ],
+    )
     def test_separable_matches_kron_oracle(self, monkeypatch, dims, terms):
         # the sampler's product terms are those of np.kron, bit for bit,
-        # without calling it
+        # without calling it, drawn from one call per attempt
         n, m = dims
-
-        def oracle(seed):
-            rng = np.random.default_rng(seed)
-            acc = np.zeros((n * m, n * m), dtype=np.complex128)
-            for p in rng.dirichlet(np.ones(terms)):
-                a = states.wishart_state_matrix(n, rng)
-                acc += p * np.kron(a, states.wishart_state_matrix(m, rng))
-            acc = matcore.hermitian_part(acc)
-            return matcore.hermitian_part(acc / np.trace(acc).real)
-
-        want = [oracle(seed) for seed in range(50)]
+        want = [
+            self.separable_oracle(n, m, terms, np.random.default_rng(seed)) for seed in range(50)
+        ]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("np.kron called")
@@ -228,6 +237,15 @@ class TestRandomStates:
         for seed, mat in enumerate(want):
             got = states.random_separable_state(n, m, terms, seed).mat
             assert got.tobytes() == mat.tobytes()
+
+    @pytest.mark.parametrize("dims, terms", [((2, 3), 12), ((3, 3), 1)])
+    def test_separable_leaves_a_generator_where_the_oracle_does(self, dims, terms):
+        n, m = dims
+        mine, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            got = states.random_separable_state(n, m, terms, mine).mat
+            assert got.tobytes() == self.separable_oracle(n, m, terms, theirs).tobytes()
+            assert mine.bit_generator.state == theirs.bit_generator.state
 
     def test_separable_rejects_bad_terms(self):
         with pytest.raises(ValueError):
