@@ -286,6 +286,8 @@ def _suite_convergence(seed, count, dims, cfg):
 
 def _suite_preserve_separability(seed, count, dims, cfg):
     n, m = dims
+    if min(n, m) < 2:  # with a factor of dimension 1 every state is separable
+        raise QcopulaError(f"preserve-separability needs n, m >= 2, got dims {n},{m}")
 
     def sample(i):
         if i < count // 2:

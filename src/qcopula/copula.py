@@ -246,22 +246,28 @@ def fixed_point_iterate(
     so the returned ray is the plain image g_k of a converged run. On a run
     that does not converge, ``phi_ray`` is the iterate the next step would
     have started from. ``lam`` is read off from a single extra application
-    of T to the trace-one ray.
+    of T to the trace-one ray. The loop is ``_iterate``, the one place
+    restarts are handled; ``fixed_point_batch`` hands it each restarting state.
     """
     _check_stopping(tol, max_iter)
+    return _iterate(phi, _initial_ray(phi.dim_in, init), tol, max_iter, [])
+
+
+def _iterate(phi, x, tol, max_iter, steps, restarts=0, prev=(None, None)) -> FixedPointReport:
+    """The loop of ``fixed_point_iterate`` from iterate ``x`` with an empty
+    memory, after the steps in ``steps`` (which it extends), ``restarts``
+    restarts and the last image and residual ``prev`` (real views)."""
     n = phi.dim_in
-    x = _initial_ray(n, init)
     # The ``count``-th difference of g and of f = g - x (Delta g = Delta x +
     # Delta f) since the last restart goes to row count % memory, so the
     # latest min(count, memory) rows are filled.
     memory = _anderson_memory(n)
     dg = np.empty((memory, 2 * n * n))
     df = np.empty_like(dg)
-    count = restarts = 0
-    g_prev = f_prev = None
-    steps: list[float] = []
+    count = 0
+    g_prev, f_prev = prev
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for _ in range(len(steps), max_iter):
         t, w, v = _apply_t(phi, x)
         step = _step_to_inverse(x, w, v)
         steps.append(step)
@@ -299,7 +305,7 @@ def fixed_point_iterate(
     return FixedPointReport(
         phi_ray=x,
         lam=lam,
-        iterations=iterations,
+        iterations=len(steps),
         final_step=steps[-1],
         converged=converged,
         step_history=np.asarray(steps),
@@ -380,36 +386,21 @@ def _per_state(fn, out_shape, *stacks):
     return out, ok
 
 
-def _extrapolate(dg, df, stored, g_real, f, g):
-    """The Anderson step of ``fixed_point_iterate`` for each running state:
-    the next iterates, and which states' extrapolants were accepted.
-
-    States with equally many stored differences share one stacked Gram
-    system, so every state's solve has the shape it has in the serial loop;
-    until a restart that is one group.
-    """
-    n = g.shape[1]
-    x = g
-    accepted = np.zeros(len(g), dtype=bool)
-    for k in np.unique(stored).tolist():
-        idx = np.flatnonzero(stored == k)
-        sel = slice(None) if len(idx) == len(g) else idx
-        dfs = df[sel, :k]
-        gram = dfs @ dfs.swapaxes(1, 2)
-        rhs = dfs @ f[sel, :, None]
-        gamma, ok = _per_state(np.linalg.solve, rhs.shape, gram, rhs)
-        cand = g_real[sel] - (gamma.swapaxes(1, 2) @ dg[sel, :k])[:, 0]
-        cand = cand.view(np.complex128).reshape(-1, n, n)
-        ok &= np.isfinite(cand).all(axis=(1, 2))
-        if ok.any():
-            ev, solved = _per_state(np.linalg.eigvalsh, (int(ok.sum()), n), cand[ok])
-            ok[ok] = solved & ~_below_floor(ev[:, 0], ev[:, -1])
-        if ok.any():
-            if x is g:
-                x = g.copy()
-            x[idx[ok]] = cand[ok]
-            accepted[idx[ok]] = True
-    return x, accepted
+def _extrapolate(dg, df, g_real, f, n: int):
+    """The Anderson step of ``fixed_point_iterate`` for each running state,
+    from its stored differences ``dg`` and ``df`` (S, stored, 2n^2): the
+    candidate iterates, and which states' candidates are accepted. Every
+    state's Gram system has the shape it has in the serial loop."""
+    gram = df @ df.swapaxes(1, 2)
+    rhs = df @ f[:, :, None]
+    gamma, ok = _per_state(np.linalg.solve, rhs.shape, gram, rhs)
+    cand = g_real - (gamma.swapaxes(1, 2) @ dg)[:, 0]
+    cand = cand.view(np.complex128).reshape(-1, n, n)
+    ok &= np.isfinite(cand).all(axis=(1, 2))
+    if ok.any():
+        ev, solved = _per_state(np.linalg.eigvalsh, (int(ok.sum()), n), cand[ok])
+        ok[ok] = solved & ~_below_floor(ev[:, 0], ev[:, -1])
+    return cand, ok
 
 
 def _take(keep, *arrays):
@@ -417,80 +408,80 @@ def _take(keep, *arrays):
     return [None if a is None else a[keep] for a in arrays]
 
 
-def _fixed_point_stack(r: np.ndarray, x: np.ndarray, tol: float, max_iter: int) -> list:
-    """``fixed_point_iterate`` on stacked realigned maps ``r`` (S, n^2, m^2)
-    from stacked trace-one iterates ``x`` (S, n, n). Each state takes the
-    serial loop's steps, with every numpy call broadcast over the states
-    still running; a state leaves the stack when it converges or fails.
-    Returns a ``FixedPointReport`` or ``SingularIntermediate`` per state."""
+def _fixed_point_stack(phis: list, x: np.ndarray, tol: float, max_iter: int) -> list:
+    """``fixed_point_iterate`` on maps ``phis`` of one dims from stacked
+    trace-one iterates ``x`` (S, n, n), with every numpy call broadcast over
+    the states still running. They step in lockstep and share one count of
+    stored differences. A state leaves when it converges or fails a floor;
+    one whose extrapolant is rejected finishes on the serial ``_iterate``
+    from where that loop stands after the restart, so restarts are handled
+    there alone. Returns a ``FixedPointReport`` or ``SingularIntermediate``
+    per state."""
     size, n = x.shape[0], x.shape[1]
     memory = _anderson_memory(n)
     width = 2 * n * n
     out: list = [None] * size
     steps: list[list[float]] = [[] for _ in range(size)]
-    finished = []  # (position, iterate, iterations, converged, restarts)
+    finished = []  # (position, iterate) of each state that ran to the end
     ids = np.arange(size)
-    live_r = r
+    r = np.stack([phi._realigned for phi in phis])
     dg = np.zeros((size, memory, width))
     df = np.zeros_like(dg)
-    count = np.zeros(size, dtype=np.intp)
-    restarts = np.zeros(size, dtype=np.intp)
+    count = 0
     g_prev = f_prev = None
     iterations = 0
     while len(ids) and iterations < max_iter:
         iterations += 1
-        keep, t, w, v, errors = _apply_t_stack(live_r, x)
+        keep, t, w, v, errors = _apply_t_stack(r, x)
         if errors:
             for k, exc in errors.items():
                 out[ids[k]] = exc
-            live_r, x, dg, df, count, restarts, ids, g_prev, f_prev = _take(
-                keep, live_r, x, dg, df, count, restarts, ids, g_prev, f_prev
-            )
+            r, x, dg, df, ids, g_prev, f_prev = _take(keep, r, x, dg, df, ids, g_prev, f_prev)
         step = _step_to_inverse(x, w, v)
         for k, value in zip(ids.tolist(), step):
             steps[k].append(value)
         g = t / np.trace(t, axis1=1, axis2=2).real[:, None, None]
         done = np.array(step) <= tol
         if done.any():
-            finished += [
-                (ids[k], g[k], iterations, True, restarts[k]) for k in np.flatnonzero(done)
-            ]
-            live_r, x, g, dg, df, count, restarts, ids, g_prev, f_prev = _take(
-                ~done, live_r, x, g, dg, df, count, restarts, ids, g_prev, f_prev
+            finished += [(ids[k], g[k]) for k in np.flatnonzero(done)]
+            r, x, g, dg, df, ids, g_prev, f_prev = _take(
+                ~done, r, x, g, dg, df, ids, g_prev, f_prev
             )
         g_real = g.view(np.float64).reshape(len(ids), width)
         f = g_real - x.view(np.float64).reshape(len(ids), width)
         x = g
         if f_prev is not None:
-            live = np.arange(len(ids))
-            rows = count % memory
-            dg[live, rows] = g_real - g_prev
-            df[live, rows] = f - f_prev
+            dg[:, count % memory] = g_real - g_prev
+            df[:, count % memory] = f - f_prev
             count += 1
-            x, accepted = _extrapolate(dg, df, np.minimum(count, memory), g_real, f, g)
-            restarts[~accepted] += 1
-            count[~accepted] = 0
+            stored = min(count, memory)
+            x, accepted = _extrapolate(dg[:, :stored], df[:, :stored], g_real, f, n)
+            if not accepted.all():
+                for k in np.flatnonzero(~accepted).tolist():
+                    p, prev = ids[k], (g_real[k], f[k])
+                    out[p] = _attempt(_iterate, phis[p], g[k], tol, max_iter, steps[p], 1, prev)
+                r, x, g_real, f, dg, df, ids = _take(accepted, r, x, g_real, f, dg, df, ids)
         g_prev, f_prev = g_real, f
-    finished += [(ids[k], x[k], iterations, False, restarts[k]) for k in range(len(ids))]
+    finished += list(zip(ids, x))
     if not finished:
         return out
     pos = [item[0] for item in finished]
     rays = matcore.hermitian_part(np.stack([item[1] for item in finished]))
-    keep, t, _, _, errors = _apply_t_stack(r[pos], rays)
+    r = np.stack([phis[p]._realigned for p in pos])
+    keep, t, _, _, errors = _apply_t_stack(r, rays)
     for k, exc in errors.items():
         out[pos[k]] = exc
     lams = np.trace(t, axis1=1, axis2=2).real
     for k, lam in zip(keep.tolist(), lams.tolist()):
-        p, _, its, converged, rest = finished[k]
+        p = pos[k]
         out[p] = FixedPointReport(
             phi_ray=rays[k],
             lam=lam,
-            iterations=its,
+            iterations=len(steps[p]),
             final_step=steps[p][-1],
-            converged=converged,
+            converged=steps[p][-1] <= tol,
             step_history=np.asarray(steps[p]),
             tol=tol,
-            restarts=int(rest),
         )
     return out
 
@@ -512,7 +503,8 @@ def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None
     raises: one state's failure stays its own. Bad settings and inits raise
     ``ValueError`` as there. A chunk of one state, such as the lone state
     of ``copula_of``, runs the serial loop, which is faster than a stack of
-    one.
+    one. A larger chunk steps in lockstep until a state converges, fails a
+    floor or restarts; a restarting state finishes on the serial loop.
     """
     _check_stopping(tol, max_iter)
     phis = list(phis)
@@ -531,9 +523,8 @@ def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None
         if len(chunk) == 1:
             out.append(_attempt(fixed_point_iterate, chunk[0], tol, max_iter, starts[0]))
             continue
-        r = np.stack([phi._realigned for phi in chunk])
         x = np.stack([_initial_ray(n, init) for init in starts])
-        out += _fixed_point_stack(r, x, tol, max_iter)
+        out += _fixed_point_stack(chunk, x, tol, max_iter)
     return out
 
 

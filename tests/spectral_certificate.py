@@ -42,6 +42,20 @@ def sample_state_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return base
 
 
+def near_boundary_state(n, m, rank, floor, seed) -> states.DensityMatrix:
+    """A complex-valued (n, m) state rotated by a Haar unitary, whose
+    smallest eigenvalue is ``floor`` times its largest: ``rank`` eigenvalues
+    in [0.5, 1] and the rest in [floor, 2 floor], so low ranks put the state
+    near the boundary of the cone."""
+    rng = np.random.default_rng(seed)
+    d = n * m
+    u = states.random_haar_unitary(d, rng)
+    w = np.concatenate([rng.uniform(0.5, 1.0, rank), floor * rng.uniform(1.0, 2.0, d - rank)])
+    w[0], w[-1] = 1.0, floor
+    mat = (u * (w / w.sum())) @ u.conj().T
+    return states.DensityMatrix((mat + mat.conj().T) / 2.0, n, m)
+
+
 def inv_pd(a: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian positive-definite matrix, by ``eigh``."""
     w, v = np.linalg.eigh(a)

@@ -13,6 +13,7 @@ from qcopula.errors import (
     SingularIntermediate,
     VerificationFailed,
 )
+from spectral_certificate import near_boundary_state
 
 
 def bits(a):
@@ -38,6 +39,8 @@ def assert_same_copula(got, want):
     if isinstance(want, QcopulaError):
         assert type(got) is type(want)
         assert str(got) == str(want)
+        if isinstance(want, NotConverged):
+            assert_same_report(got.report, want.report)
         return
     assert_same_report(got.report, want.report)
     assert bits(got.chi.mat) == bits(want.chi.mat)
@@ -144,6 +147,65 @@ class TestBitIdentity:
             assert not hasattr(got.value, "report") and not hasattr(want, "report")
 
 
+def spy_on_serial_entry(monkeypatch) -> list:
+    """The ids of the maps each later call of ``copula._iterate`` runs on."""
+    calls, original = [], copula._iterate
+
+    def spy(phi, *args):
+        calls.append(id(phi))
+        return original(phi, *args)
+
+    monkeypatch.setattr(copula, "_iterate", spy)
+    return calls
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the public serial loop was called")
+
+
+class TestHandOff:
+    """The stacked loop hands a state whose extrapolant it rejects to the
+    serial loop, which finishes it from just after the restart; nothing is
+    patched here, so the restarts are the arithmetic's own."""
+
+    @pytest.mark.parametrize("max_iter", [6, 7, 8, 1000])
+    def test_restart_in_a_stack_of_copulas(self, max_iter):
+        # (2,2) seed 1136 restarts at step 7, the only one of seeds
+        # 1100..1163 to restart; at max_iter=7 it is handed over with no
+        # step left to take
+        rhos = [states.random_full_rank_state(2, 2, seed) for seed in range(1100, 1164)]
+        cfg = copula.SolverConfig(max_iter=max_iter)
+        got = copula.copula_batch(rhos, cfg)
+        for item, rho in zip(got, rhos):
+            assert_same_copula(item, serial_copula(rho, cfg))
+        restarts = [item.report.restarts for item in got]
+        assert restarts == [int(max_iter >= 7 and seed == 1136) for seed in range(1100, 1164)]
+
+    @pytest.mark.parametrize("max_iter", [10, 13, 200])
+    def test_near_boundary_restarts_in_a_stack(self, max_iter):
+        # floors 1e-3 to 1e-12, ranks 1 and nm - 1, eight seeds each: some
+        # states restart, at steps from 5 to 22, and some run out of steps
+        restarted = 0
+        for n, m in [(2, 2), (2, 3), (3, 3)]:
+            phis = [
+                choi.choi_from_state(near_boundary_state(n, m, rank, floor, seed))
+                for floor in (1e-3, 1e-6, 1e-9, 1e-12)
+                for rank in (1, n * m - 1)
+                for seed in range(8)
+            ]
+            got = copula.fixed_point_batch(phis, max_iter=max_iter)
+            for report, phi in zip(got, phis):
+                assert_same_report(report, copula.fixed_point_iterate(phi, max_iter=max_iter))
+                restarted += report.restarts > 0
+        assert restarted > 0
+
+    def test_no_restart_keeps_the_stack_in_lockstep(self, monkeypatch):
+        handed = spy_on_serial_entry(monkeypatch)
+        got = copula.fixed_point_batch(operators(2, 2, range(64)))
+        assert handed == []
+        assert all(report.converged and report.restarts == 0 for report in got)
+
+
 class TestOwnFailures:
     """One state's failure is its own; its neighbours match the serial run."""
 
@@ -204,7 +266,9 @@ class TestOwnFailures:
 
     def test_state_dependent_restarts(self, monkeypatch):
         # A Gram system fails on its own bits, so restarts hit some states
-        # and not others, and their memories fill unevenly.
+        # and not others, and their memories fill unevenly. Each restarting
+        # state is handed to the serial loop's private entry once; the
+        # public one, which a trace counts, is not called.
         original = np.linalg.solve
 
         def flaky(a, b):
@@ -214,11 +278,16 @@ class TestOwnFailures:
 
         monkeypatch.setattr(np.linalg, "solve", flaky)
         phis = operators(3, 3, range(40))
-        got = copula.fixed_point_batch(phis)
+        with monkeypatch.context() as patch:
+            handed = spy_on_serial_entry(patch)
+            patch.setattr(copula, "fixed_point_iterate", forbidden)
+            got = copula.fixed_point_batch(phis)
         serial = [copula.fixed_point_iterate(phi) for phi in phis]
         assert len({report.restarts for report in serial}) > 2
         for report, want in zip(got, serial):
             assert_same_report(report, want)
+        restarted = [id(phi) for phi, want in zip(phis, serial) if want.restarts]
+        assert sorted(handed) == sorted(restarted)
 
     def test_only_the_slow_state_stops_unconverged(self):
         # seed 3 at (2,2) takes 11 steps, seeds 0..7 otherwise at most 10

@@ -259,6 +259,22 @@ class TestExperimentCommand:
         assert "metric-axioms" in err and "1,1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dims", ["1,3", "3,1", "1,1"])
+    def test_preserve_separability_needs_two_dimensions(self, tmp_path, monkeypatch, capsys, dims):
+        # no state of such dims is entangled, so the suite is refused before
+        # any draw rather than after a thousand failed ones
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a state was drawn")
+
+        for name in ("random_full_rank_state", "random_separable_state"):
+            monkeypatch.setattr(cli.states, name, no_draw)
+        out = tmp_path / "out.json"
+        argv = ["experiment", "preserve-separability", "--dims", dims, "--output", str(out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "preserve-separability" in err and dims in err
+        assert not out.exists()
+
 
 class TestBatchedSuites:
     """The solver suites solve in batches; their documents, exit codes and

@@ -12,7 +12,12 @@ import pytest
 
 from qcopula import choi, copula, states
 from qcopula.errors import NotConverged
-from spectral_certificate import certified_kappa, contraction_ratios, obeys_positivity_certificate
+from spectral_certificate import (
+    certified_kappa,
+    contraction_ratios,
+    near_boundary_state,
+    obeys_positivity_certificate,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -28,16 +33,6 @@ def cases(draw):
     tol = 10.0 ** draw(st.floats(-12.0, -4.0))
     seed = draw(st.integers(0, 2**32 - 1))
     return n, m, rank, floor, tol, seed
-
-
-def near_boundary_state(n, m, rank, floor, seed):
-    rng = np.random.default_rng(seed)
-    d = n * m
-    u = states.random_haar_unitary(d, rng)
-    w = np.concatenate([rng.uniform(0.5, 1.0, rank), floor * rng.uniform(1.0, 2.0, d - rank)])
-    w[0], w[-1] = 1.0, floor
-    mat = (u * (w / w.sum())) @ u.conj().T
-    return states.DensityMatrix((mat + mat.conj().T) / 2.0, n, m)
 
 
 @hypothesis.settings(max_examples=120, derandomize=True, database=None, deadline=None)
