@@ -132,8 +132,8 @@ def cmd_copula(args) -> int:
                 "input_digest": _digest(raw),
                 "result": {
                     "marginal_residual": None,
-                    "iterations": report.iterations if report else cfg.max_iter,
-                    "lambda": report.lam if report else None,
+                    "iterations": report.iterations,
+                    "lambda": report.lam,
                     "converged": False,
                 },
                 "timing_ms": (time.perf_counter() - start) * 1000.0,

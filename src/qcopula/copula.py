@@ -256,7 +256,8 @@ def fixed_point_iterate(
 def _iterate(phi, x, tol, max_iter, steps, restarts=0, prev=(None, None)) -> FixedPointReport:
     """The loop of ``fixed_point_iterate`` from iterate ``x`` with an empty
     memory, after the steps in ``steps`` (which it extends), ``restarts``
-    restarts and the last image and residual ``prev`` (real views)."""
+    restarts and the last image and residual ``prev`` (real views). The
+    report, or the error raised, is ``_close_runs``'s on a stack of one."""
     n = phi.dim_in
     # The ``count``-th difference of g and of f = g - x (Delta g = Delta x +
     # Delta f) since the last restart goes to row count % memory, so the
@@ -266,14 +267,12 @@ def _iterate(phi, x, tol, max_iter, steps, restarts=0, prev=(None, None)) -> Fix
     df = np.empty_like(dg)
     count = 0
     g_prev, f_prev = prev
-    converged = False
     for _ in range(len(steps), max_iter):
         t, w, v = _apply_t(phi, x)
         step = _step_to_inverse(x, w, v)
         steps.append(step)
         g = t / np.trace(t).real
         if step <= tol:
-            converged = True
             x = g
             break
         g_real = g.view(np.float64).reshape(-1)
@@ -300,18 +299,7 @@ def _iterate(phi, x, tol, max_iter, steps, restarts=0, prev=(None, None)) -> Fix
                 restarts += 1
                 count = 0
         g_prev, f_prev = g_real, f
-    x = matcore.hermitian_part(x)
-    lam = float(np.trace(_apply_t(phi, x)[0]).real)
-    return FixedPointReport(
-        phi_ray=x,
-        lam=lam,
-        iterations=len(steps),
-        final_step=steps[-1],
-        converged=converged,
-        step_history=np.asarray(steps),
-        tol=tol,
-        restarts=restarts,
-    )
+    return _unwrap(_close_runs([phi], x[None], [steps], [restarts], tol))
 
 
 def batch_chunk(n: int, m: int) -> int:
@@ -416,7 +404,7 @@ def _fixed_point_stack(phis: list, x: np.ndarray, tol: float, max_iter: int) -> 
     one whose extrapolant is rejected finishes on the serial ``_iterate``
     from where that loop stands after the restart, so restarts are handled
     there alone. Returns a ``FixedPointReport`` or ``SingularIntermediate``
-    per state."""
+    per state; one ``_close_runs`` call ends the states that ran to the end."""
     size, n = x.shape[0], x.shape[1]
     memory = _anderson_memory(n)
     width = 2 * n * n
@@ -463,27 +451,48 @@ def _fixed_point_stack(phis: list, x: np.ndarray, tol: float, max_iter: int) -> 
                 r, x, g_real, f, dg, df, ids = _take(accepted, r, x, g_real, f, dg, df, ids)
         g_prev, f_prev = g_real, f
     finished += list(zip(ids, x))
-    if not finished:
-        return out
-    pos = [item[0] for item in finished]
-    rays = matcore.hermitian_part(np.stack([item[1] for item in finished]))
-    r = np.stack([phis[p]._realigned for p in pos])
-    keep, t, _, _, errors = _apply_t_stack(r, rays)
-    for k, exc in errors.items():
-        out[pos[k]] = exc
+    if finished:
+        pos, ends = zip(*finished)
+        ran = [steps[p] for p in pos]
+        closed = _close_runs([phis[p] for p in pos], np.stack(ends), ran, [0] * len(pos), tol)
+        for p, item in zip(pos, closed):
+            out[p] = item
+    return out
+
+
+def _close_runs(phis: list, iterates: np.ndarray, steps: list, restarts: list, tol: float) -> list:
+    """Each run's ``FixedPointReport`` from its final iterate (stacked in
+    ``iterates``), steps and restarts: the ray is the iterate's Hermitian
+    part, lam is read off one ``_apply_t_stack`` call on all the rays, and
+    a run converged if its last step is within ``tol``. A run failing that
+    call's floors gets its ``SingularIntermediate`` instead."""
+    rays = matcore.hermitian_part(iterates)
+    keep, t, _, _, out = _apply_t_stack(_stack([phi._realigned for phi in phis]), rays)
     lams = np.trace(t, axis1=1, axis2=2).real
     for k, lam in zip(keep.tolist(), lams.tolist()):
-        p = pos[k]
-        out[p] = FixedPointReport(
-            phi_ray=rays[k],
-            lam=lam,
-            iterations=len(steps[p]),
-            final_step=steps[p][-1],
-            converged=steps[p][-1] <= tol,
-            step_history=np.asarray(steps[p]),
-            tol=tol,
+        ran = steps[k]
+        out[k] = FixedPointReport(
+            phi_ray=rays[k], lam=lam, iterations=len(ran), final_step=ran[-1],
+            converged=ran[-1] <= tol, step_history=np.asarray(ran), tol=tol, restarts=restarts[k],
         )
-    return out
+    return [out[k] for k in range(len(phis))]
+
+
+def _check_batch(phis: list, items: list, what: str) -> None:
+    """Raise ``ValueError`` unless ``items`` holds one entry per map of
+    ``phis`` and the maps share their dims."""
+    if len(items) != len(phis):
+        raise ValueError(f"got {len(items)} {what} for {len(phis)} operators")
+    if len({(phi.dim_in, phi.dim_out) for phi in phis}) > 1:
+        raise ValueError("a batch needs operators of one dims")
+
+
+def _unwrap(items: list):
+    """The one entry of ``items``, raised if it is an error."""
+    (item,) = items
+    if isinstance(item, QcopulaError):
+        raise item
+    return item
 
 
 def _attempt(fn, *args):
@@ -500,22 +509,20 @@ def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None
 
     Entry k is, bit for bit, the report ``fixed_point_iterate(phis[k], tol,
     max_iter, inits[k])`` returns, or the ``SingularIntermediate`` it
-    raises: one state's failure stays its own. Bad settings and inits raise
-    ``ValueError`` as there. A chunk of one state, such as the lone state
-    of ``copula_of``, runs the serial loop, which is faster than a stack of
-    one. A larger chunk steps in lockstep until a state converges, fails a
-    floor or restarts; a restarting state finishes on the serial loop.
+    raises: one state's failure stays its own. Bad settings and inits,
+    mixed dims and unmatched inits raise ``ValueError`` before any work. A
+    chunk of one state, such as the lone state of ``copula_of``, runs the
+    serial loop, which is faster than a stack of one. A larger chunk steps
+    in lockstep until a state converges, fails a floor or restarts; a
+    restarting state finishes on the serial loop.
     """
     _check_stopping(tol, max_iter)
     phis = list(phis)
     inits = [None] * len(phis) if inits is None else list(inits)
-    if len(inits) != len(phis):
-        raise ValueError(f"got {len(inits)} inits for {len(phis)} operators")
+    _check_batch(phis, inits, "inits")
     if not phis:
         return []
     n, m = phis[0].dim_in, phis[0].dim_out
-    if any((phi.dim_in, phi.dim_out) != (n, m) for phi in phis):
-        raise ValueError("a batch needs operators of one dims")
     size = batch_chunk(n, m)
     out = []
     for lo in range(0, len(phis), size):
@@ -614,30 +621,24 @@ def extract_scalers(phi, report):
     check inverts phi0 with.
 
     ``phi`` and ``report`` may also be equal-length sequences of maps of
-    one dims and their runs. The result is then a list whose entry k is,
-    bit for bit, what the call on (phi[k], report[k]) returns or the
-    ``QcopulaError`` it raises; a single extraction is a stack of one.
+    one dims and their runs (others raise ``ValueError`` before any work).
+    The result is then a list whose entry k is, bit for bit, what the call
+    on (phi[k], report[k]) returns or the ``QcopulaError`` it raises; a
+    single extraction is a stack of one.
     """
     if not isinstance(phi, choimod.ChoiOperator):
-        return _scalers_stack(list(phi), list(report))
-    (out,) = _scalers_stack([phi], [report])
-    if isinstance(out, QcopulaError):
-        raise out
-    return out
+        phis, reports = list(phi), list(report)
+        _check_batch(phis, reports, "reports")
+        return _scalers_stack(phis, reports)
+    return _unwrap(_scalers_stack([phi], [report]))
 
 
-def connection_matrices(scalers) -> tuple[np.ndarray, np.ndarray]:
+def connection_matrices(scalers: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
     """Invertible (a, b) with (a* o b*) rho (a o b) = chi for the run that
     produced ``scalers``. a* = (psi0^{-1})^T is an entrywise transpose: a
     conjugate one breaks marginal uniformity for complex-valued states.
-    For a sequence of ``ScalerPair``s, a and b are the stacks of each run's."""
-    if isinstance(scalers, ScalerPair):
-        psi0, psi1 = scalers.psi0, scalers.psi1
-    else:
-        psi0, psi1 = _stack([s.psi0 for s in scalers]), _stack([s.psi1 for s in scalers])
-    a = np.conj(np.linalg.inv(psi0))
-    b = psi1.conj().swapaxes(-1, -2)
-    return a, b
+    The copula's own tail conjugates by a* and b* = psi1 directly."""
+    return np.conj(np.linalg.inv(scalers.psi0)), scalers.psi1.conj().T
 
 
 def _out_of_reach(work: states.DensityMatrix, report: FixedPointReport, message: str) -> None:
@@ -696,47 +697,48 @@ def _checked_copula(
     )
 
 
-def _finish_stack(items: list, cfg: SolverConfig) -> list:
+def _finish_stack(works: list, phis: list, runs: list, cfg: SolverConfig) -> list:
     """The copulas of states of one dims from their fixed-point runs.
 
-    ``items`` holds (work, phi, report) triples: the state a solve ran on,
-    its map and the run's report. Entry k is the ``CopulaResult`` of item k
-    or the error of the first check it fails, in this order: a run short of
-    tol (``NotConverged``), a floor of ``extract_scalers``, the scaling
+    ``works`` holds the states the solves ran on, ``phis`` their maps and
+    ``runs`` each run's report or the ``SingularIntermediate`` it raised.
+    Entry k is the ``CopulaResult`` of state k or the error of the first
+    check it fails, in this order: the run's own error, a run short of tol
+    (``NotConverged``), a floor of ``extract_scalers``, the scaling
     equations (``VerificationFailed``, or ``NotConverged`` where tol is out
     of rounding's reach), chi's construction and the marginals. The
     eigendecompositions, inverses and the conjugation run on stacks of the
     states still in; chi and the marginals are checked state by state.
     """
-    out: list = [None] * len(items)
-    for k, (_, _, report) in enumerate(items):
-        if not report.converged:
+    out: list = [None] * len(runs)
+    for k, run in enumerate(runs):
+        if isinstance(run, QcopulaError):
+            out[k] = run
+        elif not run.converged:
             out[k] = NotConverged(
                 f"fixed point not reached in {cfg.max_iter} iterations "
-                f"(last step {report.final_step:.3e} > tol {cfg.tol:g})",
-                report=report,
+                f"(last step {run.final_step:.3e} > tol {cfg.tol:g})",
+                report=run,
             )
     live = [k for k, item in enumerate(out) if item is None]
-    scalers = extract_scalers([items[k][1] for k in live], [items[k][2] for k in live])
+    scalers = extract_scalers([phis[k] for k in live], [runs[k] for k in live])
     for k, pair in zip(live, scalers):
         if isinstance(pair, VerificationFailed):
-            work, _, report = items[k]
-            out[k] = _attempt(_out_of_reach, work, report, str(pair)) or pair
+            out[k] = _attempt(_out_of_reach, works[k], runs[k], str(pair)) or pair
         elif isinstance(pair, QcopulaError):
             out[k] = pair
     good = [(k, pair) for k, pair in zip(live, scalers) if out[k] is None]
     if not good:
         return out
     live, scalers = zip(*good)
-    # chi is (a* o b*) rho (a o b), normalized, for each state's connection (a, b)
-    a, b = connection_matrices(scalers)
-    mats = _stack([items[k][0].mat for k in live])
-    raw = matcore.local_congruence(mats, a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2))
+    # chi is (a* o b*) rho (a o b), normalized, with a* = (psi0^{-1})^T and b* = psi1
+    inv0 = np.linalg.inv(_stack([pair.psi0 for pair in scalers]))
+    mats, psi1 = _stack([works[k].mat for k in live]), _stack([pair.psi1 for pair in scalers])
+    raw = matcore.local_congruence(mats, inv0.swapaxes(-1, -2), psi1)
     raw = matcore.hermitian_part(raw)
     raw /= np.trace(raw, axis1=1, axis2=2).real[:, None, None]
     for k, chi_raw, pair in zip(live, raw, scalers):
-        work, _, report = items[k]
-        out[k] = _attempt(_checked_copula, work, chi_raw, pair, report, cfg)
+        out[k] = _attempt(_checked_copula, works[k], chi_raw, pair, runs[k], cfg)
     return out
 
 
@@ -752,39 +754,35 @@ def copula_of(rho: states.DensityMatrix, cfg: SolverConfig | None = None) -> Cop
     This is ``copula_batch`` of one state, whose fixed point is a chunk of
     one and so runs the serial loop of ``fixed_point_iterate``.
     """
-    (result,) = copula_batch([rho], cfg)
-    if isinstance(result, QcopulaError):
-        raise result
-    return result
+    return _unwrap(copula_batch([rho], cfg))
 
 
 def copula_batch(rhos, cfg: SolverConfig | None = None) -> list:
-    """The copulas of many states of one dims, with their fixed points
-    solved by one ``fixed_point_batch`` and their tails finished in stacks
-    of ``batch_chunk`` states.
+    """The copulas of many states of one dims, prepared, solved and
+    finished chunk by chunk: each chunk of ``batch_chunk`` prepared states
+    gets its maps, one ``fixed_point_batch`` and one ``_finish_stack``, so
+    a batch holds one chunk's maps and reports at a time.
 
     Entry k is, bit for bit, what ``copula_of(rhos[k], cfg)`` returns, or
     the ``QcopulaError`` it raises. Settings out of range raise
-    ``InvalidInput`` for the whole batch.
+    ``InvalidInput`` for the whole batch, and prepared states of mixed dims
+    ``ValueError`` before any solve; a refused state's dims do not count.
     """
     cfg = SolverConfig() if cfg is None else cfg
     cfg._check_ranges()
     out = [_attempt(_prepare, rho, cfg) for rho in rhos]
     ready = [k for k, item in enumerate(out) if not isinstance(item, QcopulaError)]
-    phis = [choimod.choi_from_state(out[k]) for k in ready]
-    reports = fixed_point_batch(phis, tol=cfg.tol, max_iter=cfg.max_iter)
-    solved = []
-    for k, phi, report in zip(ready, phis, reports):
-        if isinstance(report, QcopulaError):
-            out[k] = report
-        else:
-            solved.append((k, (out[k], phi, report)))
-    if solved:
-        size = batch_chunk(phis[0].dim_in, phis[0].dim_out)
-        for lo in range(0, len(solved), size):
-            part = solved[lo : lo + size]
-            for (k, _), result in zip(part, _finish_stack([item for _, item in part], cfg)):
-                out[k] = result
+    dims = {(out[k].dim_a, out[k].dim_b) for k in ready}
+    if len(dims) > 1:
+        raise ValueError("a batch needs operators of one dims")
+    size = batch_chunk(*dims.pop()) if dims else 1
+    for lo in range(0, len(ready), size):
+        part = ready[lo : lo + size]
+        works = [out[k] for k in part]
+        phis = [choimod.choi_from_state(work) for work in works]
+        runs = fixed_point_batch(phis, tol=cfg.tol, max_iter=cfg.max_iter)
+        for k, result in zip(part, _finish_stack(works, phis, runs, cfg)):
+            out[k] = result
     return out
 
 

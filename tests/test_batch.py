@@ -55,12 +55,17 @@ def operators(n, m, seeds):
     return [choi.choi_from_state(states.random_full_rank_state(n, m, s)) for s in seeds]
 
 
+def classical_state(weights):
+    """The diagonal (2,2) state with the given weights, normalized."""
+    weights = np.asarray(weights, dtype=float)
+    return states.DensityMatrix(np.diag(weights / weights.sum()), 2, 2)
+
+
 def near_singular_state():
     """A classical (2,2) state whose eigenvalue floor, 1e-16 of the top,
     passes the rank check only at rank_tol=0. Its contraction passes three
     steps, and the fourth application of T fails the forward floor."""
-    weights = np.array([1.0, 1e-13, 1.0, 1e-16])
-    return states.DensityMatrix(np.diag(weights / weights.sum()), 2, 2)
+    return classical_state([1.0, 1e-13, 1.0, 1e-16])
 
 
 class TestBitIdentity:
@@ -371,3 +376,87 @@ class TestOwnFailures:
     def test_mixed_dims_are_refused(self):
         with pytest.raises(ValueError, match="one dims"):
             copula.fixed_point_batch(operators(2, 2, [0]) + operators(2, 3, [0]))
+
+
+def spy_on_solves(monkeypatch) -> list:
+    """The number of maps each later call of ``copula.fixed_point_batch`` gets."""
+    sizes, original = [], copula.fixed_point_batch
+
+    def spy(phis, **kwargs):
+        sizes.append(len(phis))
+        return original(phis, **kwargs)
+
+    monkeypatch.setattr(copula, "fixed_point_batch", spy)
+    return sizes
+
+
+class TestChunkBoundaries:
+    """``copula_batch`` prepares, solves and finishes one chunk of prepared
+    states at a time; with chunks of 7, each stage that can fail a state
+    does so in a chunk of its own."""
+
+    def test_each_failing_stage_in_its_own_chunk(self, monkeypatch):
+        monkeypatch.setattr(copula, "BATCH_CHUNK", 7)
+        cfg = copula.SolverConfig(tol=0.1, max_iter=3, rank_tol=0.0)
+        # fails the forward floor at the loop's first step
+        in_loop = classical_state([1.0, 1e-16, 1.0, 1e-16])
+        # passes the loop's three steps; the application of T that reads
+        # lam off the last iterate fails the forward floor
+        at_lam = near_singular_state()
+        refused = classical_state([0.5, 0.3, 0.2, 0.0])
+        rhos = [states.random_full_rank_state(2, 2, seed) for seed in range(21)]
+        for k, rho in [(3, in_loop), (9, at_lam), (22, refused)]:
+            rhos.insert(k, rho)
+        # the good state at 18 converges, and its scaling residuals miss
+        bad = choi.choi_from_state(rhos[18])._realigned.tobytes()
+        original = copula._scaling_residuals
+
+        def one_misses(r, *args):
+            res = original(r, *args)
+            return [(1.0, 1.0) if x.tobytes() == bad else pair for x, pair in zip(r, res)]
+
+        def no_connection(*args):
+            raise AssertionError("the tail called connection_matrices")
+
+        monkeypatch.setattr(copula, "_scaling_residuals", one_misses)
+        monkeypatch.setattr(copula, "connection_matrices", no_connection)
+        want = [serial_copula(rho, cfg) for rho in rhos]
+        with monkeypatch.context() as patch:
+            sizes = spy_on_solves(patch)
+            got = copula.copula_batch(rhos, cfg)
+        # 23 prepared states: three full chunks and a last one of two
+        assert sizes == [7, 7, 7, 2]
+        for item, expected in zip(got, want):
+            assert_same_copula(item, expected)
+        kinds = {k: type(got[k]) for k in (3, 9, 18, 22)}
+        assert kinds == {
+            3: SingularIntermediate,
+            9: SingularIntermediate,
+            18: VerificationFailed,
+            22: RankDeficient,
+        }
+        phi = choi.choi_from_state(at_lam)
+        copula.fixed_point_iterate(phi, tol=0.1, max_iter=2)
+        with pytest.raises(SingularIntermediate):
+            copula.fixed_point_iterate(phi, tol=0.1, max_iter=3)
+        assert any(isinstance(item, copula.CopulaResult) for item in got[:7])
+        assert any(isinstance(item, NotConverged) for item in got)
+
+    def test_mixed_dims_are_refused_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(copula, "BATCH_CHUNK", 7)
+        for name in ("_iterate", "_fixed_point_stack"):
+            monkeypatch.setattr(copula, name, forbidden)
+        rhos = [states.random_full_rank_state(2, 2, seed) for seed in range(9)]
+        rhos.append(states.random_full_rank_state(2, 3, 0))
+        with pytest.raises(ValueError, match="one dims"):
+            copula.copula_batch(rhos)
+
+    def test_refused_state_of_other_dims_is_not_mixed(self, monkeypatch):
+        monkeypatch.setattr(copula, "BATCH_CHUNK", 7)
+        deficient = states.DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1, 0.0, 0.0]), 2, 3)
+        rhos = [states.random_full_rank_state(2, 2, seed) for seed in range(9)]
+        rhos.insert(8, deficient)
+        got = copula.copula_batch(rhos)
+        assert type(got[8]) is RankDeficient
+        for item, rho in zip(got, rhos):
+            assert_same_copula(item, serial_copula(rho))

@@ -292,6 +292,28 @@ class TestExtractScalers:
         with pytest.raises(NotConverged):
             copula.extract_scalers(phi, report)
 
+    @pytest.mark.parametrize(
+        "dims, count, message",
+        [
+            ([(2, 2), (2, 2)], 1, "got 1 reports for 2 operators"),
+            ([(2, 2)], 2, "got 2 reports for 1 operators"),
+            ([(2, 2), (2, 3)], 2, "a batch needs operators of one dims"),
+        ],
+        ids=["more-maps", "more-reports", "mixed-dims"],
+    )
+    def test_sequences_are_checked_before_any_work(self, monkeypatch, dims, count, message):
+        phis = [choi.choi_from_state(states.random_full_rank_state(n, m, 0)) for n, m in dims]
+        reports = [copula.fixed_point_iterate(phi) for phi in phis]
+        reports = (reports * count)[:count]
+
+        def no_work(*args):
+            raise AssertionError("the sequences reached the extraction")
+
+        monkeypatch.setattr(copula, "_scalers_stack", no_work)
+        with pytest.raises(ValueError) as got:
+            copula.extract_scalers(phis, reports)
+        assert str(got.value) == message
+
 
 class TestCopulaOf:
     def test_maximally_mixed_is_its_own_copula(self):
