@@ -18,6 +18,7 @@ import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import choi as choimod
 from . import matcore, states
@@ -142,10 +143,10 @@ def _singular(context: str, w: np.ndarray) -> SingularIntermediate:
 
 
 def _eig_pd(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, v) of a Hermitian positive-definite matrix, read from
-    its lower triangle as ``eigh`` does; eigenvalues below the relative
-    floor signal a near-rank-deficient input upstream."""
-    w, v = np.linalg.eigh(mat)
+    """Eigenpairs (w, v) of a complex Hermitian positive-definite matrix,
+    read from its lower triangle as ``eigh`` does; eigenvalues below the
+    relative floor signal a near-rank-deficient input upstream."""
+    w, v = matcore._eigh(mat)
     if _below_floor(w[0], w[-1]):
         raise _singular(context, w)
     return w, v
@@ -168,10 +169,13 @@ def _apply_t(phi: choimod.ChoiOperator, x: np.ndarray):
 
     The maps skip the input checks of ``choi.apply`` and
     ``choi.apply_adjoint``, which every matrix built here passes by
-    construction. Returns T(x) with the eigenpairs (w, v) of the adjoint
-    image Y, of which T(x) is the inverse. Nothing is symmetrized:
-    ``eigh`` reads only the lower triangle, so the rounding-level asymmetry
-    of its inputs does not reach the eigenpairs.
+    construction, and the two eigendecompositions call LAPACK through
+    ``matcore._eigh``, without numpy.linalg's per-call wrapper, inside the
+    ``matcore._lapack_errors`` state the calling entry point holds. Returns
+    T(x) with the eigenpairs (w, v) of the adjoint image Y, of which T(x)
+    is the inverse. Nothing is symmetrized: ``eigh`` reads only the lower
+    triangle, so the rounding-level asymmetry of its inputs does not reach
+    the eigenpairs.
     """
     forward = _inv_pd(choimod._forward(phi._realigned, x), "forward image")
     w, v = _eig_pd(choimod._adjoint(phi._realigned, forward), "adjoint image")
@@ -188,7 +192,7 @@ def _step_to_inverse(x: np.ndarray, w: np.ndarray, v: np.ndarray):
     needs no factorization beyond the one Y already has.
     """
     s = np.sqrt(w)
-    ev = np.linalg.eigvalsh((v.conj().swapaxes(-1, -2) @ x @ v) * (s[..., None] * s[..., None, :]))
+    ev = matcore._eigvalsh((v.conj().swapaxes(-1, -2) @ x @ v) * (s[..., None] * s[..., None, :]))
     if ev.ndim == 1:
         return _log_ratio(ev[0], ev[-1])
     return list(map(_log_ratio, ev[:, 0].tolist(), ev[:, -1].tolist()))
@@ -212,9 +216,9 @@ def _initial_ray(n: int, init) -> np.ndarray:
     if init is None:
         return np.eye(n, dtype=np.complex128) / n
     x = matcore.require_hermitian(matcore.as_cmatrix(init, n, "init"), what="init")
-    if np.linalg.eigvalsh(x)[0] <= 0.0:
+    if matcore._eigvalsh(x)[0] <= 0.0:
         raise ValueError("init must be positive definite")
-    return x / np.trace(x).real
+    return x / x.trace().real
 
 
 def _anderson_memory(n: int) -> int:
@@ -250,7 +254,8 @@ def fixed_point_iterate(
     restarts are handled; ``fixed_point_batch`` hands it each restarting state.
     """
     _check_stopping(tol, max_iter)
-    return _iterate(phi, _initial_ray(phi.dim_in, init), tol, max_iter, [])
+    with matcore._lapack_errors():
+        return _iterate(phi, _initial_ray(phi.dim_in, init), tol, max_iter, [])
 
 
 def _iterate(phi, x, tol, max_iter, steps, restarts=0, prev=(None, None)) -> FixedPointReport:
@@ -271,7 +276,7 @@ def _iterate(phi, x, tol, max_iter, steps, restarts=0, prev=(None, None)) -> Fix
         t, w, v = _apply_t(phi, x)
         step = _step_to_inverse(x, w, v)
         steps.append(step)
-        g = t / np.trace(t).real
+        g = t / t.trace().real
         if step <= tol:
             x = g
             break
@@ -287,11 +292,11 @@ def _iterate(phi, x, tol, max_iter, steps, restarts=0, prev=(None, None)) -> Fix
             dfs = df[:stored]
             ev = None
             try:
-                gamma = np.linalg.solve(dfs @ dfs.T, dfs @ f)
+                gamma = matcore._solve(dfs @ dfs.T, dfs @ f)
                 candidate = (g_real - gamma @ dg[:stored]).view(np.complex128).reshape(n, n)
                 if np.isfinite(candidate).all():
-                    ev = np.linalg.eigvalsh(candidate)
-            except np.linalg.LinAlgError:
+                    ev = matcore._eigvalsh(candidate)
+            except LinAlgError:
                 pass
             if ev is not None and not _below_floor(ev[0], ev[-1]):
                 x = candidate
@@ -310,24 +315,32 @@ def batch_chunk(n: int, m: int) -> int:
     return max(1, min(BATCH_CHUNK, BATCH_CHUNK_BYTES // (16 * (n * m) ** 2)))
 
 
-def _drop_singular(keep, floors, errors: dict, *arrays) -> list:
-    """``keep`` and each of ``arrays`` at the states of a stack whose spectra
-    pass the floor of ``_eig_pd``. ``floors`` holds (context, w) pairs in
-    the order a single state is checked; each other state's error, at its
-    first failing floor, goes to ``errors`` by position in ``keep``. The
-    floor is tested on Python floats, as cheap for a stack of one as
-    ``_eig_pd``'s test and for a full chunk as a vectorized one."""
-    bad: set = set()
+def _failing(w: np.ndarray) -> list:
+    """Positions of the spectra in the stack ``w`` (ascending rows) below
+    the floor of ``_eig_pd``: tested on the two scalars of a stack of one,
+    as ``_eig_pd`` tests them, and vectorized on a larger stack."""
+    if len(w) == 1:
+        return [0] if _below_floor(w[0, 0], w[0, -1]) else []
+    return np.flatnonzero(_below_floor(w[:, 0], w[:, -1])).tolist()
+
+
+def _drop_singular(keep: list, floors, errors: dict, *arrays) -> list:
+    """``keep``, a list of positions, and each of ``arrays`` at the states
+    of a stack whose spectra pass the floor of ``_eig_pd``. ``floors`` holds
+    (context, w) pairs in the order a single state is checked; each other
+    state's error, at its first failing floor, goes to ``errors`` by
+    position in ``keep``. Where every state passes, all come back as given."""
+    bad: list = []
     for context, w in floors:
-        for k, (lo, hi) in enumerate(zip(w[:, 0].tolist(), w[:, -1].tolist())):
-            if _below_floor(lo, hi) and k not in bad:
-                errors[int(keep[k])] = _singular(context, w[k])
-                bad.add(k)
+        for k in _failing(w):
+            if k not in bad:
+                errors[keep[k]] = _singular(context, w[k])
+                bad.append(k)
     if not bad:
         return [keep, *arrays]
     ok = np.ones(len(keep), dtype=bool)
-    ok[list(bad)] = False
-    return _take(ok, keep, *arrays)
+    ok[bad] = False
+    return [[p for k, p in enumerate(keep) if k not in bad], *_take(ok, *arrays)]
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -348,9 +361,9 @@ def _apply_t_stack(r: np.ndarray, x: np.ndarray):
     step, so its inverse never reaches a stacked ``eigh``.
     """
     errors: dict = {}
-    w, v = np.linalg.eigh(choimod._forward(r, x))
-    keep, w, v, r = _drop_singular(np.arange(len(x)), [("forward image", w)], errors, w, v, r)
-    w, v = np.linalg.eigh(choimod._adjoint(r, _pd_power(w, v, -1.0)))
+    w, v = matcore._eigh(choimod._forward(r, x))
+    keep, w, v, r = _drop_singular(list(range(len(x))), [("forward image", w)], errors, w, v, r)
+    w, v = matcore._eigh(choimod._adjoint(r, _pd_power(w, v, -1.0)))
     keep, w, v = _drop_singular(keep, [("adjoint image", w)], errors, w, v)
     return keep, _pd_power(w, v, -1.0), w, v, errors
 
@@ -361,7 +374,7 @@ def _per_state(fn, out_shape, *stacks):
     alone, so only the states that fail alone fail."""
     try:
         return fn(*stacks), np.ones(out_shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
+    except LinAlgError:
         pass
     out = np.zeros(out_shape)
     ok = np.zeros(out_shape[0], dtype=bool)
@@ -369,7 +382,7 @@ def _per_state(fn, out_shape, *stacks):
         try:
             out[k] = fn(*(s[k] for s in stacks))
             ok[k] = True
-        except np.linalg.LinAlgError:
+        except LinAlgError:
             pass
     return out, ok
 
@@ -381,12 +394,12 @@ def _extrapolate(dg, df, g_real, f, n: int):
     state's Gram system has the shape it has in the serial loop."""
     gram = df @ df.swapaxes(1, 2)
     rhs = df @ f[:, :, None]
-    gamma, ok = _per_state(np.linalg.solve, rhs.shape, gram, rhs)
+    gamma, ok = _per_state(matcore._solve, rhs.shape, gram, rhs)
     cand = g_real - (gamma.swapaxes(1, 2) @ dg)[:, 0]
     cand = cand.view(np.complex128).reshape(-1, n, n)
     ok &= np.isfinite(cand).all(axis=(1, 2))
     if ok.any():
-        ev, solved = _per_state(np.linalg.eigvalsh, (int(ok.sum()), n), cand[ok])
+        ev, solved = _per_state(matcore._eigvalsh, (int(ok.sum()), n), cand[ok])
         ok[ok] = solved & ~_below_floor(ev[:, 0], ev[:, -1])
     return cand, ok
 
@@ -428,7 +441,7 @@ def _fixed_point_stack(phis: list, x: np.ndarray, tol: float, max_iter: int) -> 
         step = _step_to_inverse(x, w, v)
         for k, value in zip(ids.tolist(), step):
             steps[k].append(value)
-        g = t / np.trace(t, axis1=1, axis2=2).real[:, None, None]
+        g = t / t.trace(axis1=1, axis2=2).real[:, None, None]
         done = np.array(step) <= tol
         if done.any():
             finished += [(ids[k], g[k]) for k in np.flatnonzero(done)]
@@ -468,8 +481,8 @@ def _close_runs(phis: list, iterates: np.ndarray, steps: list, restarts: list, t
     call's floors gets its ``SingularIntermediate`` instead."""
     rays = matcore.hermitian_part(iterates)
     keep, t, _, _, out = _apply_t_stack(_stack([phi._realigned for phi in phis]), rays)
-    lams = np.trace(t, axis1=1, axis2=2).real
-    for k, lam in zip(keep.tolist(), lams.tolist()):
+    lams = t.trace(axis1=1, axis2=2).real
+    for k, lam in zip(keep, lams.tolist()):
         ran = steps[k]
         out[k] = FixedPointReport(
             phi_ray=rays[k], lam=lam, iterations=len(ran), final_step=ran[-1],
@@ -525,13 +538,14 @@ def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None
     n, m = phis[0].dim_in, phis[0].dim_out
     size = batch_chunk(n, m)
     out = []
-    for lo in range(0, len(phis), size):
-        chunk, starts = phis[lo : lo + size], inits[lo : lo + size]
-        if len(chunk) == 1:
-            out.append(_attempt(fixed_point_iterate, chunk[0], tol, max_iter, starts[0]))
-            continue
-        x = np.stack([_initial_ray(n, init) for init in starts])
-        out += _fixed_point_stack(chunk, x, tol, max_iter)
+    with matcore._lapack_errors():
+        for lo in range(0, len(phis), size):
+            chunk, starts = phis[lo : lo + size], inits[lo : lo + size]
+            if len(chunk) == 1:
+                out.append(_attempt(fixed_point_iterate, chunk[0], tol, max_iter, starts[0]))
+                continue
+            x = np.stack([_initial_ray(n, init) for init in starts])
+            out += _fixed_point_stack(chunk, x, tol, max_iter)
     return out
 
 
@@ -558,7 +572,8 @@ def scaling_equation_residuals(
     scaling pair."""
     phi0 = matcore.as_cmatrix(phi0, phi.dim_in, "phi0")
     phi1 = matcore.as_cmatrix(phi1, phi.dim_out, "phi1")
-    inv0, inv1 = _inv_pd(phi0, "phi0"), _inv_pd(phi1, "phi1")
+    with matcore._lapack_errors():
+        inv0, inv1 = _inv_pd(phi0, "phi0"), _inv_pd(phi1, "phi1")
     (res,) = _scaling_residuals(
         phi._realigned[None], phi0[None], phi1[None], inv0[None], inv1[None]
     )
@@ -569,10 +584,13 @@ def _scalers_stack(phis: list, reports: list) -> list:
     """``extract_scalers`` of each (phis[k], reports[k]), maps of one dims:
     entry k is the ``ScalerPair`` or the error of the first check it fails,
     in a single extraction's order: convergence, the floors of the forward
-    image, phi0 and phi1, then the scaling equations. The
-    eigendecompositions and the check run on the stack of converged runs."""
+    image, phi0 and phi1, then the scaling equations. A report that is
+    itself an error, as ``fixed_point_batch`` returns for a failed run, is
+    its state's entry. The eigendecompositions and the check run on the
+    stack of converged runs."""
     out: list = [
-        None if report.converged
+        report if isinstance(report, QcopulaError)
+        else None if report.converged
         else NotConverged("scaling matrices require a converged fixed point", report=report)
         for report in reports
     ]
@@ -584,20 +602,20 @@ def _scalers_stack(phis: list, reports: list) -> list:
     n, m = phis[0].dim_in, phis[0].dim_out
     # each state's result or error, by position in live
     found: dict = {}
-    w1, v1 = np.linalg.eigh(choimod._forward(r, rays))
-    keep = np.arange(len(rays))
+    w1, v1 = matcore._eigh(choimod._forward(r, rays))
+    keep = list(range(len(rays)))
     keep, w1, v1, r = _drop_singular(keep, [("forward image", w1)], found, w1, v1, r)
     phi1 = matcore.hermitian_part(_pd_power(w1, v1, -1.0) / m)
     phi0 = matcore.hermitian_part(n * choimod._adjoint(r, phi1))
-    w0, v0 = np.linalg.eigh(phi0)
-    wi, vi = np.linalg.eigh(phi1)
+    w0, v0 = matcore._eigh(phi0)
+    wi, vi = matcore._eigh(phi1)
     keep, r, phi0, phi1, w0, v0, w1, v1, wi, vi = _drop_singular(
         keep, [("phi0", w0), ("phi1", wi)], found, r, phi0, phi1, w0, v0, w1, v1, wi, vi
     )
     res = _scaling_residuals(r, phi0, phi1, _pd_power(w0, v0, -1.0), _pd_power(wi, vi, -1.0))
     psi0 = _pd_power(w0, v0, 0.5)
     psi1 = _pd_power(m * w1, v1, -0.5)
-    for j, (pos, (res1, res2)) in enumerate(zip(keep.tolist(), res)):
+    for j, (pos, (res1, res2)) in enumerate(zip(keep, res)):
         bound = max(SCALING_EQ_RTOL, reports[live[pos]].tol)
         if res1 > bound or res2 > bound:
             found[pos] = VerificationFailed(
@@ -621,16 +639,20 @@ def extract_scalers(phi, report):
     check inverts phi0 with.
 
     ``phi`` and ``report`` may also be equal-length sequences of maps of
-    one dims and their runs (others raise ``ValueError`` before any work).
-    The result is then a list whose entry k is, bit for bit, what the call
-    on (phi[k], report[k]) returns or the ``QcopulaError`` it raises; a
-    single extraction is a stack of one.
+    one dims and their runs (others raise ``ValueError`` before any work),
+    such as the list ``fixed_point_batch`` returns. The result is then a
+    list whose entry k is, bit for bit, what the call on (phi[k], report[k])
+    returns or the ``QcopulaError`` it raises; a run's own error, in place
+    of its report, is raised by a single extraction and is that entry of
+    the list. A single extraction is a stack of one.
     """
     if not isinstance(phi, choimod.ChoiOperator):
         phis, reports = list(phi), list(report)
         _check_batch(phis, reports, "reports")
-        return _scalers_stack(phis, reports)
-    return _unwrap(_scalers_stack([phi], [report]))
+        with matcore._lapack_errors():
+            return _scalers_stack(phis, reports)
+    with matcore._lapack_errors():
+        return _unwrap(_scalers_stack([phi], [report]))
 
 
 def connection_matrices(scalers: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
@@ -732,11 +754,11 @@ def _finish_stack(works: list, phis: list, runs: list, cfg: SolverConfig) -> lis
         return out
     live, scalers = zip(*good)
     # chi is (a* o b*) rho (a o b), normalized, with a* = (psi0^{-1})^T and b* = psi1
-    inv0 = np.linalg.inv(_stack([pair.psi0 for pair in scalers]))
+    inv0 = matcore._inv(_stack([pair.psi0 for pair in scalers]))
     mats, psi1 = _stack([works[k].mat for k in live]), _stack([pair.psi1 for pair in scalers])
     raw = matcore.local_congruence(mats, inv0.swapaxes(-1, -2), psi1)
     raw = matcore.hermitian_part(raw)
-    raw /= np.trace(raw, axis1=1, axis2=2).real[:, None, None]
+    raw /= raw.trace(axis1=1, axis2=2).real[:, None, None]
     for k, chi_raw, pair in zip(live, raw, scalers):
         out[k] = _attempt(_checked_copula, works[k], chi_raw, pair, runs[k], cfg)
     return out
@@ -770,19 +792,20 @@ def copula_batch(rhos, cfg: SolverConfig | None = None) -> list:
     """
     cfg = SolverConfig() if cfg is None else cfg
     cfg._check_ranges()
-    out = [_attempt(_prepare, rho, cfg) for rho in rhos]
-    ready = [k for k, item in enumerate(out) if not isinstance(item, QcopulaError)]
-    dims = {(out[k].dim_a, out[k].dim_b) for k in ready}
-    if len(dims) > 1:
-        raise ValueError("a batch needs operators of one dims")
-    size = batch_chunk(*dims.pop()) if dims else 1
-    for lo in range(0, len(ready), size):
-        part = ready[lo : lo + size]
-        works = [out[k] for k in part]
-        phis = [choimod.choi_from_state(work) for work in works]
-        runs = fixed_point_batch(phis, tol=cfg.tol, max_iter=cfg.max_iter)
-        for k, result in zip(part, _finish_stack(works, phis, runs, cfg)):
-            out[k] = result
+    with matcore._lapack_errors():
+        out = [_attempt(_prepare, rho, cfg) for rho in rhos]
+        ready = [k for k, item in enumerate(out) if not isinstance(item, QcopulaError)]
+        dims = {(out[k].dim_a, out[k].dim_b) for k in ready}
+        if len(dims) > 1:
+            raise ValueError("a batch needs operators of one dims")
+        size = batch_chunk(*dims.pop()) if dims else 1
+        for lo in range(0, len(ready), size):
+            part = ready[lo : lo + size]
+            works = [out[k] for k in part]
+            phis = [choimod.choi_from_state(work) for work in works]
+            runs = fixed_point_batch(phis, tol=cfg.tol, max_iter=cfg.max_iter)
+            for k, result in zip(part, _finish_stack(works, phis, runs, cfg)):
+                out[k] = result
     return out
 
 

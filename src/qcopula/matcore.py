@@ -6,13 +6,111 @@ unless stated otherwise.
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import NonFinite, NotHermitian, ShapeMismatch
 
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
+
 HERMITIAN_RTOL = 1e-10
+
+
+def _lapack_failed(err, flag):
+    """The floating-point error callback of ``_lapack_errors``: a gufunc
+    flags a failed factorization as an invalid value."""
+    raise LinAlgError(err)
+
+
+# numpy.linalg's public functions hold this state around each gufunc call
+_LINALG_ERRSTATE = dict(
+    call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+_GUARDED = contextvars.ContextVar("qcopula_lapack_errors", default=False)
+
+
+class _lapack_errors:
+    """Context in which the LAPACK helpers below fail as ``numpy.linalg``
+    does: numpy's floating-point error state is the one the public functions
+    hold around each gufunc call (an invalid value raises ``LinAlgError``;
+    overflow, division by zero and underflow are ignored). Each public entry
+    point that reaches a helper holds one for its whole run; inside another
+    it is a no-op, so a solve enters numpy's error state once. The state
+    covers the solve's other numpy arithmetic too. Its operands pass the
+    solver's finiteness and floor checks first, but for the Anderson
+    candidate's, which may overflow or turn invalid on a near-singular Gram
+    system; such a candidate is rejected under either error state."""
+
+    __slots__ = ("_errstate", "_token")
+
+    def __enter__(self):
+        if _GUARDED.get():
+            self._errstate = None
+            return
+        self._token = _GUARDED.set(True)
+        self._errstate = np.errstate(**_LINALG_ERRSTATE)
+        self._errstate.__enter__()
+
+    def __exit__(self, *exc):
+        if self._errstate is not None:
+            self._errstate.__exit__(*exc)
+            _GUARDED.reset(self._token)
+
+
+def _gufunc_call(gufunc, signature: str, message: str):
+    """``gufunc`` with its signature fixed; a failure flagged inside
+    ``_lapack_errors`` raises ``LinAlgError(message)``, numpy.linalg's."""
+
+    def call(*args):
+        try:
+            return gufunc(*args, signature=signature)
+        except LinAlgError:
+            raise LinAlgError(message) from None
+
+    return call
+
+
+def _lapack_routines(umath) -> tuple:
+    """(eigh, eigvalsh, solve, inv, cholesky): the factorizations of the
+    solve path, each a direct call of a gufunc of ``umath`` (numpy's private
+    ``numpy.linalg._umath_linalg``) without the public wrapper's argument
+    handling and error state.
+
+    eigh, eigvalsh, inv and cholesky take complex128 matrices and solve
+    float64 ones (its right side a vector or a stack of matrices); each takes
+    one matrix or a stack, reads a Hermitian input's lower triangle and
+    returns numpy.linalg's bits, since the same gufunc runs on the same
+    input. A failure raises numpy.linalg's ``LinAlgError`` inside
+    ``_lapack_errors``; outside it the gufunc warns and returns NaN. Where
+    ``umath`` is None or lacks a gufunc, the routines are the public
+    functions, which need no guard."""
+    names = ("eigh_lo", "eigvalsh_lo", "solve", "solve1", "inv", "cholesky_lo")
+    if umath is None or not all(hasattr(umath, name) for name in names):
+        linalg = np.linalg
+        return linalg.eigh, linalg.eigvalsh, linalg.solve, linalg.inv, linalg.cholesky
+    eigh_lo, eigvalsh_lo, solve_m, solve_v, inv, cholesky_lo = (getattr(umath, k) for k in names)
+    solve_m = _gufunc_call(solve_m, "dd->d", "Singular matrix")
+    solve_v = _gufunc_call(solve_v, "dd->d", "Singular matrix")
+
+    def solve(a, b):
+        return solve_v(a, b) if b.ndim == 1 else solve_m(a, b)
+
+    return (
+        _gufunc_call(eigh_lo, "D->dD", "Eigenvalues did not converge"),
+        _gufunc_call(eigvalsh_lo, "D->d", "Eigenvalues did not converge"),
+        solve,
+        _gufunc_call(inv, "D->D", "Singular matrix"),
+        _gufunc_call(cholesky_lo, "D->D", "Matrix is not positive definite"),
+    )
+
+
+_eigh, _eigvalsh, _solve, _inv, _cholesky = _lapack_routines(_umath_linalg)
 
 
 def as_cmatrix(a, dim: int, what: str) -> np.ndarray:

@@ -66,12 +66,13 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > STATE_TRACE_ATOL:
             raise InvalidInput(f"trace: expected 1 within {STATE_TRACE_ATOL:g}, got {tr.real:.12g}")
-        if not (_cholesky and _cholesky_succeeds(h)):
-            w = np.linalg.eigvalsh(h)
-            lo = float(w[0])
-            if lo < STATE_EIG_FLOOR:
-                raise NotPSD(f"PSD: minimum eigenvalue {lo:.3e} below {STATE_EIG_FLOOR:g}")
-            object.__setattr__(self, "eig_range", (lo, float(w[-1])))
+        with matcore._lapack_errors():
+            if not (_cholesky and _cholesky_succeeds(h)):
+                w = matcore._eigvalsh(h)
+                lo = float(w[0])
+                if lo < STATE_EIG_FLOOR:
+                    raise NotPSD(f"PSD: minimum eigenvalue {lo:.3e} below {STATE_EIG_FLOOR:g}")
+                object.__setattr__(self, "eig_range", (lo, float(w[-1])))
         h.flags.writeable = False
         object.__setattr__(self, "mat", h)
         object.__setattr__(self, "dim_a", n)
@@ -80,7 +81,8 @@ class DensityMatrix:
     @functools.cached_property
     def eig_range(self) -> tuple[float, float]:
         """Smallest and largest eigenvalue of ``mat``."""
-        w = np.linalg.eigvalsh(self.mat)
+        with matcore._lapack_errors():
+            w = matcore._eigvalsh(self.mat)
         return float(w[0]), float(w[-1])
 
     @property
@@ -95,7 +97,7 @@ def _cholesky_succeeds(h: np.ndarray) -> bool:
     """True iff ``h`` has a Cholesky factorization, which proves it
     positive definite up to rounding of order d * eps * ||h||."""
     try:
-        np.linalg.cholesky(h)
+        matcore._cholesky(h)
     except np.linalg.LinAlgError:
         return False
     return True

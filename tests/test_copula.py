@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcopula import choi, copula, pmetric, states
+from qcopula import choi, copula, matcore, pmetric, states
 from qcopula.errors import (
     InvalidInput,
     NotConverged,
@@ -173,7 +173,7 @@ class TestFixedPointIterate:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(matcore, "_solve", singular)
         report = copula.fixed_point_iterate(phi)
         assert report.converged
         assert report.iterations == 268
@@ -188,7 +188,7 @@ class TestFixedPointIterate:
         # one rejected Gram solve empties the memory, so the next system
         # holds a single difference again
         phi = choi.choi_from_state(states.random_full_rank_state(3, 3, 0))
-        original = np.linalg.solve
+        original = matcore._solve
         sizes = []
 
         def third_fails(a, b):
@@ -197,7 +197,7 @@ class TestFixedPointIterate:
                 raise np.linalg.LinAlgError("singular matrix")
             return original(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", third_fails)
+        monkeypatch.setattr(matcore, "_solve", third_fails)
         report = copula.fixed_point_iterate(phi)
         assert report.converged
         assert report.restarts == 1
@@ -314,6 +314,22 @@ class TestExtractScalers:
             copula.extract_scalers(phis, reports)
         assert str(got.value) == message
 
+    def test_a_failed_run_is_passed_through(self):
+        # the list fixed_point_batch returns goes to the sequence form as it
+        # is: a run's own error is that state's entry
+        bad = choi.ChoiOperator(np.diag([1.0, 0.0, 0.0, 0.0]), 2, 2)
+        good = choi.choi_from_state(states.random_full_rank_state(2, 2, 0))
+        runs = copula.fixed_point_batch([good, bad, good])
+        assert isinstance(runs[1], SingularIntermediate)
+        got = copula.extract_scalers([good, bad, good], runs)
+        assert got[1] is runs[1]
+        want = copula.extract_scalers(good, runs[0])
+        for pair in (got[0], got[2]):
+            for name in ("phi0", "phi1", "psi0", "psi1"):
+                assert getattr(pair, name).tobytes() == getattr(want, name).tobytes()
+        with pytest.raises(SingularIntermediate):
+            copula.extract_scalers(bad, runs[1])
+
 
 class TestCopulaOf:
     def test_maximally_mixed_is_its_own_copula(self):
@@ -422,14 +438,14 @@ class TestCopulaOf:
         # positive by Cholesky.
         rho = states.random_full_rank_state(2, 3, 0)
         shapes = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
+        for name in ("_eigh", "_eigvalsh"):
+            original = getattr(matcore, name)
 
             def recording(a, *args, _original=original, **kwargs):
                 shapes.append(np.shape(a)[-2:])
                 return _original(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, recording)
+            monkeypatch.setattr(matcore, name, recording)
         copula.copula_of(rho)
         assert shapes
         assert set(shapes) <= {(2, 2), (3, 3)}
