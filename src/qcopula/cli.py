@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import hashlib
 import json
 import math
@@ -84,6 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--max-iter", type=int, default=sinkhorn.DEFAULT_MAX_ITER)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: parsing leaves a
+    parser unchanged, so one serves every call in a process."""
+    return build_parser()
 
 
 def _resolve_config(args) -> SolverConfig:
@@ -509,8 +517,7 @@ def cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "copula": cmd_copula,
         "experiment": cmd_experiment,

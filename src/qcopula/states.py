@@ -143,7 +143,8 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
 def ppt_verdict(rho: DensityMatrix) -> SeparabilityVerdict:
     """Peres-Horodecki test on the partial transpose of the second factor."""
-    w = np.linalg.eigvalsh(partial_transpose(rho))
+    with matcore._lapack_errors():
+        w = matcore._eigvalsh(partial_transpose(rho))
     lo = float(w[0])
     if lo < PPT_EIG_THRESHOLD:
         tag = ENTANGLED
@@ -275,7 +276,8 @@ def state_from_dict(obj) -> DensityMatrix:
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > JSON_ATOL:
         raise InvalidInput(f"trace: expected 1 within {JSON_ATOL:g}, got {tr.real:.12g}")
-    w, v = np.linalg.eigh(h)
+    with matcore._lapack_errors():
+        w, v = matcore._eigh(h)
     if w[0] < -JSON_ATOL:
         raise NotPSD(f"PSD: minimum eigenvalue {w[0]:.3e} below {-JSON_ATOL:g}")
     # Repair file round-off: clip tiny negative eigenvalues, renormalize.

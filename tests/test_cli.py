@@ -496,6 +496,59 @@ class TestUsageErrors:
         assert err.value.code == 3
 
 
+class TestParserReuse:
+    """``main`` parses every call with one parser per process."""
+
+    @staticmethod
+    def blank_timing(path):
+        doc = json.loads(path.read_text())
+        doc["report"]["timing_ms"] = 0.0
+        return canonical_dumps(doc)
+
+    def test_two_calls_build_the_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def spy():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            inp = write_state(tmp_path / "in.json", states.random_full_rank_state(2, 2, 0))
+            assert cli.main(["copula", inp, "--output", str(tmp_path / "a.json")]) == 0
+            assert cli.main(["copula", inp, "--output", str(tmp_path / "b.json")]) == 0
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path):
+        cfg_path = write_json(tmp_path / "cfg.json", {"max_iter": 400, "reg_eps": 1e-3})
+        rho = states.random_full_rank_state(2, 2, 7)
+        inp = write_state(tmp_path / "in.json", rho)
+        plain, flagged, again = (tmp_path / f"{k}.json" for k in ("plain", "flagged", "again"))
+        assert cli.main(["copula", inp, "--output", str(plain)]) == 0
+        argv = ["copula", inp, "--regularize", "--tol", "1e-9", "--config", str(cfg_path)]
+        assert cli.main(argv + ["--output", str(flagged)]) == 0
+        assert cli.main(["copula", inp, "--output", str(again)]) == 0
+        config = json.loads(flagged.read_text())["report"]["config"]
+        assert (config["regularize"], config["tol"], config["max_iter"]) == (True, 1e-9, 400)
+        assert json.loads(again.read_text())["report"]["config"] == copula.SolverConfig().to_dict()
+        assert self.blank_timing(again) == self.blank_timing(plain)
+
+    def test_usage_error_between_calls_changes_nothing(self, tmp_path, capsys):
+        inp = write_state(tmp_path / "in.json", states.random_full_rank_state(2, 3, 1))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert cli.main(["copula", inp, "--tol", "1e-11", "--output", str(first)]) == 0
+        with pytest.raises(SystemExit) as err:
+            cli.main(["copula", inp, "--tol", "tight", "--regularize", "--output", "x.json"])
+        assert err.value.code == 3
+        assert "invalid float value" in capsys.readouterr().err
+        assert cli.main(["copula", inp, "--tol", "1e-11", "--output", str(second)]) == 0
+        assert self.blank_timing(second) == self.blank_timing(first)
+
+
 class TestOversizedIntegers:
     """A JSON integer too large for a float is invalid input wherever the
     CLI reads a number: exit 3 naming the entry or field, no traceback."""

@@ -159,6 +159,26 @@ class TestPublicFallback:
         use_public_linalg(monkeypatch)
         assert solve_all(rhos) == raw
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (16, 16)])
+    def test_reading_and_verdicts_match_the_raw_path(self, monkeypatch, dims):
+        # state_from_dict's eigh and ppt_verdict's eigvalsh, on states from
+        # files and on their copulas
+        docs = [
+            states.state_to_dict(states.random_full_rank_state(*dims, seed)) for seed in range(3)
+        ]
+
+        def read_all():
+            out = []
+            for doc in docs:
+                rho = states.state_from_dict(doc)
+                chi = copula.copula_of(rho).chi
+                out.append((bits(rho.mat), states.ppt_verdict(rho), states.ppt_verdict(chi)))
+            return out
+
+        raw = read_all()
+        use_public_linalg(monkeypatch)
+        assert read_all() == raw
+
     def test_large_dims_digest_matches_the_raw_path(self, monkeypatch):
         rhos = [states.random_full_rank_state(16, 16, seed) for seed in range(4)]
         raw = solve_all(rhos)
@@ -238,6 +258,12 @@ class TestFailurePaths:
             got = copula.copula_batch([good, singular, near], copula.SolverConfig(**settings))
             assert [type(item).__name__ for item in got] == want
         assert copula.copula_of(good).marginal_residual <= 1e-10
+        for rho in (good, singular, near):
+            states.ppt_verdict(rho)
+            states.state_from_dict(states.state_to_dict(rho))
+        negative = {"dims": [1, 2], "matrix": [[[1.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.1, 0.0]]]}
+        with pytest.raises(NotPSD):
+            states.state_from_dict(negative)
 
     def test_every_entry_point_holds_the_guard(self, monkeypatch):
         # each helper call happens inside _lapack_errors, whichever public
@@ -263,3 +289,9 @@ class TestFailurePaths:
         assert again.eig_range == rho.eig_range
         states.DensityMatrix(rho.mat, 2, 2)
         assert set(calls) == set(ROUTINES)
+        calls.clear()
+        states.ppt_verdict(rho)
+        assert calls == ["_eigvalsh"]
+        calls.clear()
+        states.state_from_dict(states.state_to_dict(rho))
+        assert calls == ["_eigh", "_eigvalsh"]
