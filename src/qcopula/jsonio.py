@@ -21,6 +21,7 @@ from .errors import InvalidInput
 INDENT = 2  # spaces per level of nesting
 
 _chain = itertools.chain.from_iterable
+_NUMBER_TYPES = {float, int}  # not bool: ``type(True) is bool``
 
 
 def _plain(obj):
@@ -60,12 +61,13 @@ def complex_matrix_to_pairs(mat) -> list:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-def _float_grid(rows, pairs: bool):
+def _number_grid(rows, pairs: bool):
     """``rows`` as one float64 array, a row's entries (with ``pairs``, its
     pairs' two numbers in turn) along its second axis, when ``rows`` is a
     non-empty list of equal-length non-empty lists whose entries are all
-    Python floats (with ``pairs``, all [re, im] lists of two Python floats);
-    else None. Each test is one pass at C speed."""
+    Python floats or ints (with ``pairs``, all [re, im] lists of two such
+    numbers), each of which converts to a float; else None. Each test is
+    one pass at C speed, and an int converts as ``float`` does it."""
     if type(rows) is not list or set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
         return None
     leaves = list(_chain(rows))
@@ -73,9 +75,14 @@ def _float_grid(rows, pairs: bool):
         if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {2}:
             return None
         leaves = list(_chain(leaves))
-    if set(map(type, leaves)) != {float}:
+    kinds = set(map(type, leaves))
+    if not kinds or not kinds <= _NUMBER_TYPES:
         return None
-    return np.fromiter(leaves, np.float64, count=len(leaves)).reshape(len(rows), -1)
+    try:
+        grid = np.fromiter(leaves, np.float64, count=len(leaves))
+    except OverflowError:  # an int too large for a float
+        return None
+    return grid.reshape(len(rows), -1)
 
 
 def _rows(rows, what: str):
@@ -106,13 +113,13 @@ def _too_large(what: str, r: int, c: int) -> InvalidInput:
 def pairs_to_complex(rows, what: str = "matrix") -> np.ndarray:
     """Unpack nested [re, im] pairs into a complex matrix.
 
-    A grid of Python floats, as ``json.loads`` gives for a state file, is
-    converted in one pass: the complex128 view of its float64 pairs, which
-    keeps every bit, ``-0.0`` included. Anything else (ints, bools, strings,
-    tuples, ragged rows, pairs of the wrong length) is read entry by entry,
-    so an error names the first bad entry, and an int entry reads as
-    ``complex(re, im)`` does."""
-    grid = _float_grid(rows, pairs=True)
+    A grid of Python floats and ints, as ``json.loads`` gives for a state
+    file, is converted in one pass: the complex128 view of its float64
+    pairs, which keeps every bit, ``-0.0`` included, and reads an int entry
+    as ``complex(re, im)`` does. Anything else (bools, strings, tuples,
+    ragged rows, pairs of the wrong length, ints too large for a float) is
+    read entry by entry, so an error names the first bad entry."""
+    grid = _number_grid(rows, pairs=True)
     if grid is not None:
         return _finite(grid.view(np.complex128), what)
     out = []
@@ -137,10 +144,10 @@ def real_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     """Read a plain real matrix given either as a bare 2-D array or under a
     "matrix" key.
 
-    A grid of Python floats is converted in one pass; anything else is
-    checked entry by entry, so an error names the first bad entry."""
+    A grid of Python floats and ints is converted in one pass; anything
+    else is checked entry by entry, so an error names the first bad entry."""
     rows = obj.get("matrix") if isinstance(obj, dict) else obj
-    grid = _float_grid(rows, pairs=False)
+    grid = _number_grid(rows, pairs=False)
     if grid is not None:
         return _finite(grid, what)
     for r, row in _rows(rows, what):

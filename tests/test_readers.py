@@ -1,6 +1,6 @@
-"""The JSON matrix readers: a grid of Python floats is converted in one
-pass, anything else is checked entry by entry. Both routes must give the
-same bits, or the same ``InvalidInput`` message."""
+"""The JSON matrix readers: a grid of Python floats and ints is converted
+in one pass, anything else is checked entry by entry. Both routes must give
+the same bits, or the same ``InvalidInput`` message."""
 
 import math
 from unittest import mock
@@ -49,7 +49,7 @@ def outcome(read, rows):
 
 def per_entry(read, rows):
     """``outcome`` with the one-pass conversion turned off."""
-    with mock.patch.object(jsonio, "_float_grid", return_value=None):
+    with mock.patch.object(jsonio, "_number_grid", return_value=None):
         return outcome(read, rows)
 
 
@@ -67,6 +67,8 @@ def grids(cell, ragged=True):
 READERS = {"pairs": jsonio.pairs_to_complex, "real": jsonio.real_matrix_from_json}
 CELLS = {"pairs": pairs, "real": entries}
 FLOAT_CELLS = {"pairs": st.lists(floats, min_size=2, max_size=2), "real": floats}
+numbers = st.one_of(floats, ints)
+NUMBER_CELLS = {"pairs": st.lists(numbers, min_size=2, max_size=2), "real": numbers}
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
@@ -77,6 +79,12 @@ class TestOnePassConversion:
         rows = data.draw(grids(FLOAT_CELLS[kind], ragged=False))
         got = outcome(READERS[kind], rows)
         assert got == per_entry(READERS[kind], rows)
+
+    @SETTINGS
+    @hypothesis.given(data=st.data())
+    def test_number_grids_match_the_per_entry_loop(self, kind, data):
+        rows = data.draw(grids(NUMBER_CELLS[kind], ragged=False))
+        assert outcome(READERS[kind], rows) == per_entry(READERS[kind], rows)
 
     @SETTINGS
     @hypothesis.given(data=st.data())
@@ -101,6 +109,15 @@ class TestOnePassConversion:
         else:
             with_int[r][c], twin[r][c] = value, float(value)
         assert outcome(READERS[kind], with_int) == outcome(READERS[kind], twin)
+
+    def test_int_grids_take_the_one_pass_route(self, kind):
+        cell = [1, 0] if kind == "pairs" else 1
+        huge = [10**400, 0] if kind == "pairs" else 10**400
+        pairs = kind == "pairs"
+        grid = jsonio._number_grid([[cell, 2.5 if not pairs else [2.5, 0]]], pairs=pairs)
+        assert grid is not None and grid.dtype == np.float64
+        assert jsonio._number_grid([[cell, huge]], pairs=pairs) is None
+        assert jsonio._number_grid([[cell, True if not pairs else [True, 0]]], pairs=pairs) is None
 
     def test_keeps_negative_zero(self, kind):
         cell = [-0.0, -0.0] if kind == "pairs" else -0.0
