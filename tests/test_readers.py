@@ -111,13 +111,15 @@ class TestOnePassConversion:
         assert outcome(READERS[kind], with_int) == outcome(READERS[kind], twin)
 
     def test_int_grids_take_the_one_pass_route(self, kind):
-        cell = [1, 0] if kind == "pairs" else 1
-        huge = [10**400, 0] if kind == "pairs" else 10**400
         pairs = kind == "pairs"
-        grid = jsonio._number_grid([[cell, 2.5 if not pairs else [2.5, 0]]], pairs=pairs)
-        assert grid is not None and grid.dtype == np.float64
-        assert jsonio._number_grid([[cell, huge]], pairs=pairs) is None
-        assert jsonio._number_grid([[cell, True if not pairs else [True, 0]]], pairs=pairs) is None
+
+        def grid(value):
+            cell, other = ([value, 0], [2.5, -0.0]) if pairs else (value, 2.5)
+            return jsonio._number_grid([[cell, cell], [cell, other]], pairs=pairs)
+
+        assert grid(1).tobytes() == grid(1.0).tobytes()
+        assert grid(10**400) is None  # the per-entry loop names the entry
+        assert grid(True) is None
 
     def test_keeps_negative_zero(self, kind):
         cell = [-0.0, -0.0] if kind == "pairs" else -0.0
