@@ -539,13 +539,16 @@ def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None
     size = batch_chunk(n, m)
     out = []
     with matcore._lapack_errors():
+        starts = [_initial_ray(n, init) for init in inits]
         for lo in range(0, len(phis), size):
-            chunk, starts = phis[lo : lo + size], inits[lo : lo + size]
+            chunk = phis[lo : lo + size]
             if len(chunk) == 1:
-                out.append(_attempt(fixed_point_iterate, chunk[0], tol, max_iter, starts[0]))
+                # fixed_point_iterate, whose reports perfbench's tracer reads,
+                # builds this start again from the raw init; handing it the
+                # built start would normalize that twice
+                out.append(_attempt(fixed_point_iterate, chunk[0], tol, max_iter, inits[lo]))
                 continue
-            x = np.stack([_initial_ray(n, init) for init in starts])
-            out += _fixed_point_stack(chunk, x, tol, max_iter)
+            out += _fixed_point_stack(chunk, np.stack(starts[lo : lo + size]), tol, max_iter)
     return out
 
 

@@ -1,4 +1,5 @@
-"""Deterministic JSON emission and complex-matrix packing.
+"""Deterministic JSON emission, complex-matrix packing and the JSON matrix
+readers.
 
 ``json.dumps`` writes every value, so each float is its shortest
 round-trip ``repr``: it reads back as the same double, an integral float
@@ -7,6 +8,12 @@ a float. The layout is fixed: an object has one member per line, indented
 two spaces a level; an array whose elements are all objects (the
 experiment cases) has one element per line; every other value, such an
 element included, is written on one line.
+
+Each reader converts a matrix once. A regular grid of Python floats and
+ints, as ``json.loads`` gives for a valid file, is converted in one
+``np.fromiter`` pass. Any other input is walked entry by entry first; the
+walk only diagnoses, raising for the first bad entry, and a grid it passes
+is converted by one ``np.array`` call.
 """
 
 from __future__ import annotations
@@ -85,78 +92,64 @@ def _number_grid(rows, pairs: bool):
     return grid.reshape(len(rows), -1)
 
 
-def _rows(rows, what: str):
-    """Yield (index, row) over a non-empty list of equal-length list rows."""
+def _diagnose(rows, what: str, pairs: bool) -> None:
+    """Raise ``InvalidInput`` naming the first defect of ``rows``, read row
+    by row and entry by entry: ``rows`` must be a non-empty list of
+    equal-length lists whose entries are numbers (with ``pairs``, [re, im]
+    lists or tuples of two numbers), each of which converts to a float. A
+    number is an int or a float, subclasses included, but not a bool."""
     if not isinstance(rows, list) or not rows:
         raise InvalidInput(f"{what}: expected a non-empty list of rows")
-    ncols = None
+    kind, width = ("a [re, im] pair", 2) if pairs else ("a number", 1)
     for r, row in enumerate(rows):
         if not isinstance(row, list):
             raise InvalidInput(f"{what}: row {r} is not a list")
-        if ncols is None:
-            ncols = len(row)
-        elif len(row) != ncols:
-            raise InvalidInput(f"{what}: ragged rows ({len(row)} vs {ncols})")
-        yield r, row
+        if len(row) != len(rows[0]):
+            raise InvalidInput(f"{what}: ragged rows ({len(row)} vs {len(rows[0])})")
+        for c, cell in enumerate(row):
+            values = cell if pairs else (cell,)
+            if not isinstance(values, (list, tuple)) or len(values) != width or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+            ):
+                raise InvalidInput(f"{what}: entry ({r}, {c}) is not {kind}")
+            try:
+                list(map(float, values))
+            except OverflowError:
+                raise InvalidInput(f"{what}: entry ({r}, {c}) is too large for a float") from None
 
 
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+def _grid(rows, what: str, pairs: bool) -> np.ndarray:
+    """``rows`` as the float64 array ``_number_grid`` describes. A grid that
+    route refuses is walked by ``_diagnose`` and, if it passes, converted by
+    ``np.array``. Raises ``InvalidInput`` unless every entry is finite."""
+    grid = _number_grid(rows, pairs)
+    if grid is None:
+        _diagnose(rows, what, pairs)
+        grid = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    if not np.all(np.isfinite(grid)):
         raise InvalidInput(f"{what}: entries must be finite")
-    return arr
-
-
-def _too_large(what: str, r: int, c: int) -> InvalidInput:
-    return InvalidInput(f"{what}: entry ({r}, {c}) is too large for a float")
+    return grid
 
 
 def pairs_to_complex(rows, what: str = "matrix") -> np.ndarray:
-    """Unpack nested [re, im] pairs into a complex matrix.
+    """Unpack nested [re, im] pairs into a complex matrix: the complex128
+    view of the float64 grid of the pairs' numbers, which keeps every bit,
+    ``-0.0`` included, and reads an int as ``complex(re, im)`` does.
 
     A grid of Python floats and ints, as ``json.loads`` gives for a state
-    file, is converted in one pass: the complex128 view of its float64
-    pairs, which keeps every bit, ``-0.0`` included, and reads an int entry
-    as ``complex(re, im)`` does. Anything else (bools, strings, tuples,
-    ragged rows, pairs of the wrong length, ints too large for a float) is
-    read entry by entry, so an error names the first bad entry."""
-    grid = _number_grid(rows, pairs=True)
-    if grid is not None:
-        return _finite(grid.view(np.complex128), what)
-    out = []
-    for r, row in _rows(rows, what):
-        vals = []
-        for c, cell in enumerate(row):
-            if (
-                not isinstance(cell, (list, tuple))
-                or len(cell) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
-            ):
-                raise InvalidInput(f"{what}: entry ({r}, {c}) is not a [re, im] pair")
-            try:
-                vals.append(complex(cell[0], cell[1]))
-            except OverflowError:
-                raise _too_large(what, r, c) from None
-        out.append(vals)
-    return _finite(np.array(out, dtype=np.complex128), what)
+    file, is converted in one pass. Any other input is first walked entry by
+    entry, so an error names the first bad entry: bools, strings, ragged
+    rows, pairs of the wrong length and ints too large for a float are
+    refused, while tuples, numeric subclasses and empty rows are read."""
+    return _grid(rows, what, pairs=True).view(np.complex128)
 
 
 def real_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     """Read a plain real matrix given either as a bare 2-D array or under a
     "matrix" key.
 
-    A grid of Python floats and ints is converted in one pass; anything
-    else is checked entry by entry, so an error names the first bad entry."""
+    A grid of Python floats and ints is converted in one pass; any other
+    input is first walked entry by entry, so an error names the first bad
+    entry, as in ``pairs_to_complex``."""
     rows = obj.get("matrix") if isinstance(obj, dict) else obj
-    grid = _number_grid(rows, pairs=False)
-    if grid is not None:
-        return _finite(grid, what)
-    for r, row in _rows(rows, what):
-        for c, cell in enumerate(row):
-            if not isinstance(cell, (int, float)) or isinstance(cell, bool):
-                raise InvalidInput(f"{what}: entry ({r}, {c}) is not a number")
-            if isinstance(cell, int):
-                try:
-                    float(cell)
-                except OverflowError:
-                    raise _too_large(what, r, c) from None
-    return _finite(np.array(rows, dtype=np.float64), what)
+    return _grid(rows, what, pairs=False)

@@ -7,6 +7,7 @@ D1 A D2 doubly stochastic, unique up to (c D1, D2 / c).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,8 @@ def sinkhorn_scale(
 
     The returned pair is gauge-fixed to d1[0] = 1. ``d2_init`` selects the
     starting column scaling (all ones by default); any positive start
-    converges to the same pair modulo the scalar gauge.
+    converges to the same pair modulo the scalar gauge. Sums that overflow
+    to a non-finite deviation raise ``NotConverged``, as a cap reached does.
     """
     mat = np.asarray(a, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -70,17 +72,23 @@ def sinkhorn_scale(
     def scaled() -> np.ndarray:
         return d1[:, None] * mat * d2[None, :]
 
-    dev = _deviation(scaled())
     iterations = 0
-    while dev > tol:
-        if iterations >= max_iter:
-            raise NotConverged(
-                f"row/column sums deviate by {dev:.3e} after {max_iter} iterations"
-            )
-        d1 = 1.0 / (mat @ d2)
-        d2 = 1.0 / (d1 @ mat)
-        iterations += 1
+    # an overflow shows as a non-finite deviation, which ends the run
+    with np.errstate(all="ignore"):
         dev = _deviation(scaled())
+        while not dev <= tol:
+            if not math.isfinite(dev):
+                raise NotConverged(
+                    f"row/column sums are not finite after {iterations} iterations"
+                )
+            if iterations >= max_iter:
+                raise NotConverged(
+                    f"row/column sums deviate by {dev:.3e} after {max_iter} iterations"
+                )
+            d1 = 1.0 / (mat @ d2)
+            d2 = 1.0 / (d1 @ mat)
+            iterations += 1
+            dev = _deviation(scaled())
     gauge = d1[0]
     d1 = d1 / gauge
     d2 = d2 * gauge

@@ -377,6 +377,19 @@ class TestOwnFailures:
         with pytest.raises(ValueError, match="one dims"):
             copula.fixed_point_batch(operators(2, 2, [0]) + operators(2, 3, [0]))
 
+    def test_bad_init_in_a_later_chunk_is_refused_before_any_solve(self, monkeypatch):
+        # 70 (2,2) maps are a chunk of 64 and one of 6; the init at 66 is not
+        # positive definite
+        for name in ("_iterate", "_fixed_point_stack"):
+            monkeypatch.setattr(copula, name, forbidden)
+        inits = [None] * 70
+        inits[66] = np.diag([1.0, -0.5])
+        with pytest.raises(ValueError, match="init must be positive definite"):
+            copula.fixed_point_batch(operators(2, 2, range(70)), inits=inits)
+
+    def test_empty_batch(self):
+        assert copula.fixed_point_batch([]) == []
+
 
 def spy_on_solves(monkeypatch) -> list:
     """The number of maps each later call of ``copula.fixed_point_batch`` gets."""

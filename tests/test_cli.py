@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from qcopula import choi, cli, copula, states
-from qcopula.errors import NotConverged, PrecopulaCheckFailed, QcopulaError, VerificationFailed
+from qcopula.errors import (
+    NotConverged,
+    PrecopulaCheckFailed,
+    QcopulaError,
+    SingularIntermediate,
+    VerificationFailed,
+)
 from qcopula.jsonio import canonical_dumps
 
 
@@ -153,6 +159,14 @@ class TestClassicalCommand:
     def test_not_converged_exits_2(self, tmp_path):
         inp = write_json(tmp_path / "in.json", [[1.0, 2.0], [3.0, 4.0]])
         assert cli.main(["classical", inp, "--max-iter", "1"]) == 2
+
+    def test_overflowing_sums_exit_2(self, tmp_path):
+        inp = write_json(tmp_path / "in.json", [[1e308, 1e308], [1e308, 1e308]])
+        out = tmp_path / "out.json"
+        assert cli.main(["classical", inp, "--output", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is False
+        assert doc["error"] == "row/column sums are not finite after 0 iterations"
 
     @pytest.mark.parametrize(
         "flags",
@@ -389,6 +403,42 @@ class TestBatchedSuites:
         err = capsys.readouterr().err
         assert ("injected sampling failure" in err) == sample_fails_first
         assert ("rank_tol" in err) != sample_fails_first
+
+    def test_uniqueness_run_error_surfaces_in_case_order(self, tmp_path, monkeypatch, capsys):
+        # cases 1 and 3 each get a failed run (five inits a case); case 1's
+        # error ends the suite
+        batch = cli.copmod.fixed_point_batch
+
+        def failing_runs(phis, **kwargs):
+            reports = batch(phis, **kwargs)
+            for case, init in [(1, 2), (3, 0)]:
+                reports[5 * case + init] = SingularIntermediate(f"injected run failure {case}")
+            return reports
+
+        monkeypatch.setattr(cli.copmod, "fixed_point_batch", failing_runs)
+        code, doc = self.run(["experiment", "uniqueness", "--count", "4"], tmp_path)
+        assert code == 3
+        assert doc is None
+        assert capsys.readouterr().err == "error: injected run failure 1\n"
+
+    def test_uniqueness_distance_error_surfaces_in_case_order(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # cases 1 and 3 each get a failed ray gap (four gaps a case); case
+        # 1's error ends the suite
+        distance = cli.pmetric.hilbert_distance
+
+        def failing_gaps(a, b):
+            gaps = distance(a, b)
+            for case, gap in [(1, 3), (3, 1)]:
+                gaps[4 * case + gap] = QcopulaError(f"injected distance failure {case}")
+            return gaps
+
+        monkeypatch.setattr(cli.pmetric, "hilbert_distance", failing_gaps)
+        code, doc = self.run(["experiment", "uniqueness", "--count", "4"], tmp_path)
+        assert code == 3
+        assert doc is None
+        assert capsys.readouterr().err == "error: injected distance failure 1\n"
 
     @pytest.mark.parametrize("suite", cli.SUITES)
     def test_negative_seed_is_invalid_usage(self, tmp_path, capsys, suite):

@@ -1,6 +1,8 @@
 """The JSON matrix readers: a grid of Python floats and ints is converted
-in one pass, anything else is checked entry by entry. Both routes must give
-the same bits, or the same ``InvalidInput`` message."""
+in one pass; anything else is walked entry by entry, which only names the
+first bad entry, and then converted by ``np.array``. Either route must give
+the bits of an array built entry by entry with ``complex(re, im)`` or
+``float(x)``, or the walk's ``InvalidInput`` message."""
 
 import math
 from unittest import mock
@@ -47,10 +49,20 @@ def outcome(read, rows):
     return a.dtype, a.shape, a.tobytes()
 
 
+def oracle(read, rows):
+    """The matrix ``read`` should give for a valid ``rows``, built entry by
+    entry without numpy's converters."""
+    if read is jsonio.pairs_to_complex:
+        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
+    return np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+
+
 def per_entry(read, rows):
-    """``outcome`` with the one-pass conversion turned off."""
+    """``outcome`` with the one-pass conversion turned off: the walk's
+    message for a bad input, else what ``oracle`` builds."""
     with mock.patch.object(jsonio, "_number_grid", return_value=None):
-        return outcome(read, rows)
+        got = outcome(read, rows)
+    return got if got[0] == "InvalidInput" else outcome(lambda rows: oracle(read, rows), rows)
 
 
 def grids(cell, ragged=True):
@@ -118,7 +130,7 @@ class TestOnePassConversion:
             return jsonio._number_grid([[cell, cell], [cell, other]], pairs=pairs)
 
         assert grid(1).tobytes() == grid(1.0).tobytes()
-        assert grid(10**400) is None  # the per-entry loop names the entry
+        assert grid(10**400) is None  # the walk names the entry
         assert grid(True) is None
 
     def test_keeps_negative_zero(self, kind):
@@ -168,3 +180,17 @@ class TestMessages:
         a = jsonio.pairs_to_complex([[(1.0, -2.0), [3.0, 4.0]]])
         b = jsonio.pairs_to_complex([[[1.0, -2.0], [3.0, 4.0]]])
         assert a.tobytes() == b.tobytes()
+
+    def test_numeric_subclasses_and_empty_rows_are_read(self):
+        # inputs json.loads never gives, which the walk passes to np.array
+        class Count(int):
+            pass
+
+        real = [[np.float64(0.1), Count(3)], [-0.0, 2**70]]
+        assert outcome(jsonio.real_matrix_from_json, real) == per_entry(
+            jsonio.real_matrix_from_json, real
+        )
+        pairs = [[[np.float64(0.1), 3], (-0.0, np.float64(-2.5))]]
+        assert outcome(jsonio.pairs_to_complex, pairs) == per_entry(jsonio.pairs_to_complex, pairs)
+        assert jsonio.pairs_to_complex([[], []]).shape == (2, 0)
+        assert jsonio.real_matrix_from_json([[]]).shape == (1, 0)

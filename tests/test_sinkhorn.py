@@ -77,6 +77,12 @@ class TestSinkhornScale:
         with pytest.raises(NotConverged):
             sinkhorn.sinkhorn_scale(np.array([[1.0, 2.0], [3.0, 4.0]]), max_iter=1)
 
+    def test_overflowing_sums_do_not_converge(self):
+        # finite, strictly positive entries whose sums overflow: a NaN
+        # deviation must not pass for convergence, and no warning is raised
+        with pytest.raises(NotConverged, match="sums are not finite after 0 iterations"):
+            sinkhorn.sinkhorn_scale(np.full((2, 2), 1e308))
+
 
 class TestVerifyUniqueness:
     def test_same_pair(self):
