@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import copula as copmod
-from . import jsonio, pmetric, sinkhorn, states
+from . import jsonio, matcore, pmetric, sinkhorn, states
 from .choi import choi_from_state
 from .copula import SolverConfig
 from .errors import (
@@ -404,10 +404,9 @@ def _suite_metric_axioms(seed, count, dims, cfg):
         # per case: d(a,b), d(b,a), d(a,c), d(b,c), d(f a, b), d(a^-1, b^-1),
         # d(p1, p2), or the first error among them; one stacked call each
         a, b, c, factor, p1, p2 = (np.array(x) for x in zip(*cases))
-        pairs = [
-            (a, b), (b, a), (a, c), (b, c), (factor[:, None, None] * a, b),
-            (np.linalg.inv(a), np.linalg.inv(b)), (p1, p2),
-        ]
+        with matcore._lapack_errors():
+            inverses = matcore._inv(a), matcore._inv(b)
+        pairs = [(a, b), (b, a), (a, c), (b, c), (factor[:, None, None] * a, b), inverses, (p1, p2)]
         rows = zip(*(pmetric.hilbert_distance(x, y) for x, y in pairs))
         return [next((d for d in row if isinstance(d, QcopulaError)), row) for row in rows]
 

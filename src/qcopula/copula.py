@@ -40,6 +40,8 @@ ROUNDING_EPS = float(np.finfo(np.float64).eps)
 ANDERSON_MEMORY = 4  # differences the fixed-point extrapolation keeps
 BATCH_CHUNK = 64  # most states one stacked solve holds
 BATCH_CHUNK_BYTES = 1 << 20  # most bytes their stacked realigned maps take
+_DEFAULT_TOL = 1e-12  # the solver's stopping tolerance
+_DEFAULT_MAX_ITER = 1000  # the solver's iteration cap
 
 _TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a number"}
 
@@ -48,9 +50,9 @@ _TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a number"}
 class SolverConfig:
     """Solver knobs; mirrored field-for-field by the CLI JSON config."""
 
-    tol: float = 1e-12
+    tol: float = _DEFAULT_TOL
     marginal_tol: float = 1e-10
-    max_iter: int = 1000
+    max_iter: int = _DEFAULT_MAX_ITER
     rank_tol: float = 1e-10
     regularize: bool = False
     reg_eps: float = 1e-8
@@ -100,7 +102,7 @@ class FixedPointReport:
     final_step: float  # projective distance between the last two iterates
     converged: bool
     step_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    tol: float = 1e-12  # stopping tolerance of the run; sets the verification bounds
+    tol: float = _DEFAULT_TOL  # stopping tolerance of the run; sets the verification bounds
     restarts: int = 0  # Anderson extrapolants rejected for the plain step
 
 
@@ -230,8 +232,8 @@ def _anderson_memory(n: int) -> int:
 
 def fixed_point_iterate(
     phi: choimod.ChoiOperator,
-    tol: float = 1e-12,
-    max_iter: int = 1000,
+    tol: float = _DEFAULT_TOL,
+    max_iter: int = _DEFAULT_MAX_ITER,
     init=None,
 ) -> FixedPointReport:
     """Find the fixed ray of T by safeguarded Anderson acceleration of
@@ -516,7 +518,9 @@ def _attempt(fn, *args):
         return exc
 
 
-def fixed_point_batch(phis, tol: float = 1e-12, max_iter: int = 1000, inits=None) -> list:
+def fixed_point_batch(
+    phis, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER, inits=None
+) -> list:
     """``fixed_point_iterate`` for many operators of one dims, solved in
     stacked chunks of ``batch_chunk`` states.
 
@@ -586,15 +590,19 @@ def scaling_equation_residuals(
 def _scalers_stack(phis: list, reports: list) -> list:
     """``extract_scalers`` of each (phis[k], reports[k]), maps of one dims:
     entry k is the ``ScalerPair`` or the error of the first check it fails,
-    in a single extraction's order: convergence, the floors of the forward
-    image, phi0 and phi1, then the scaling equations. A report that is
-    itself an error, as ``fixed_point_batch`` returns for a failed run, is
-    its state's entry. The eigendecompositions and the check run on the
-    stack of converged runs."""
+    in a single extraction's order: the run's own error, a run short of
+    its tol (``NotConverged``), the floors of the forward image, phi0 and
+    phi1, then the scaling equations. This is the one place a run becomes
+    its error. The eigendecompositions and the check run on the stack of
+    converged runs."""
     out: list = [
         report if isinstance(report, QcopulaError)
         else None if report.converged
-        else NotConverged("scaling matrices require a converged fixed point", report=report)
+        else NotConverged(
+            f"fixed point not reached in {report.iterations} iterations "
+            f"(last step {report.final_step:.3e} > tol {report.tol:g})",
+            report=report,
+        )
         for report in reports
     ]
     live = [k for k, item in enumerate(out) if item is None]
@@ -639,7 +647,8 @@ def extract_scalers(phi, report):
     equations are re-checked before returning, at the run's stopping
     tolerance or 1e-9 relative, whichever is looser. psi1 reuses the
     eigenpairs phi1 is built from, and psi0 the eigenpairs of phi0 that the
-    check inverts phi0 with.
+    check inverts phi0 with. A run short of its tol raises ``NotConverged``
+    with the message ``copula_of`` gives it, read off the report.
 
     ``phi`` and ``report`` may also be equal-length sequences of maps of
     one dims and their runs (others raise ``ValueError`` before any work),
@@ -649,21 +658,23 @@ def extract_scalers(phi, report):
     of its report, is raised by a single extraction and is that entry of
     the list. A single extraction is a stack of one.
     """
-    if not isinstance(phi, choimod.ChoiOperator):
-        phis, reports = list(phi), list(report)
-        _check_batch(phis, reports, "reports")
-        with matcore._lapack_errors():
-            return _scalers_stack(phis, reports)
+    single = isinstance(phi, choimod.ChoiOperator)
+    phis, reports = ([phi], [report]) if single else (list(phi), list(report))
+    _check_batch(phis, reports, "reports")
     with matcore._lapack_errors():
-        return _unwrap(_scalers_stack([phi], [report]))
+        out = _scalers_stack(phis, reports)
+    return _unwrap(out) if single else out
 
 
 def connection_matrices(scalers: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
     """Invertible (a, b) with (a* o b*) rho (a o b) = chi for the run that
     produced ``scalers``. a* = (psi0^{-1})^T is an entrywise transpose: a
     conjugate one breaks marginal uniformity for complex-valued states.
-    The copula's own tail conjugates by a* and b* = psi1 directly."""
-    return np.conj(np.linalg.inv(scalers.psi0)), scalers.psi1.conj().T
+    The copula's own tail conjugates by a* and b* = psi1 directly. psi0 is
+    inverted as a complex matrix by ``matcore._inv``, with numpy.linalg's
+    bits and its ``LinAlgError`` for a singular one."""
+    with matcore._lapack_errors():
+        return np.conj(matcore._inv(scalers.psi0)), scalers.psi1.conj().T
 
 
 def _out_of_reach(work: states.DensityMatrix, report: FixedPointReport, message: str) -> None:
@@ -728,31 +739,20 @@ def _finish_stack(works: list, phis: list, runs: list, cfg: SolverConfig) -> lis
     ``works`` holds the states the solves ran on, ``phis`` their maps and
     ``runs`` each run's report or the ``SingularIntermediate`` it raised.
     Entry k is the ``CopulaResult`` of state k or the error of the first
-    check it fails, in this order: the run's own error, a run short of tol
-    (``NotConverged``), a floor of ``extract_scalers``, the scaling
-    equations (``VerificationFailed``, or ``NotConverged`` where tol is out
-    of rounding's reach), chi's construction and the marginals. The
+    check it fails, in this order: the error ``extract_scalers``' sequence
+    form, handed every run, gives it (the run's own error, ``NotConverged``
+    for a run short of tol, a floor), the scaling equations
+    (``VerificationFailed``, or ``NotConverged`` where tol is out of
+    rounding's reach), chi's construction and the marginals. The
     eigendecompositions, inverses and the conjugation run on stacks of the
     states still in; chi and the marginals are checked state by state.
     """
-    out: list = [None] * len(runs)
-    for k, run in enumerate(runs):
-        if isinstance(run, QcopulaError):
-            out[k] = run
-        elif not run.converged:
-            out[k] = NotConverged(
-                f"fixed point not reached in {cfg.max_iter} iterations "
-                f"(last step {run.final_step:.3e} > tol {cfg.tol:g})",
-                report=run,
-            )
-    live = [k for k, item in enumerate(out) if item is None]
-    scalers = extract_scalers([phis[k] for k in live], [runs[k] for k in live])
-    for k, pair in zip(live, scalers):
+    scalers = extract_scalers(phis, runs)
+    out = [pair if isinstance(pair, QcopulaError) else None for pair in scalers]
+    for k, pair in enumerate(scalers):
         if isinstance(pair, VerificationFailed):
             out[k] = _attempt(_out_of_reach, works[k], runs[k], str(pair)) or pair
-        elif isinstance(pair, QcopulaError):
-            out[k] = pair
-    good = [(k, pair) for k, pair in zip(live, scalers) if out[k] is None]
+    good = [(k, pair) for k, pair in enumerate(scalers) if out[k] is None]
     if not good:
         return out
     live, scalers = zip(*good)
@@ -829,11 +829,12 @@ def copula_invariants(chi: states.DensityMatrix, tol: float = PRECOPULA_TOL) -> 
     """Local-unitary-invariant fingerprint of a precopula: sorted global
     spectrum, Tr(chi^2), Tr(chi^3), and the sorted partial-transpose
     spectrum. Equal fingerprints are necessary (not sufficient) for two
-    precopulas to represent the same copula class."""
+    precopulas to represent the same copula class. Both spectra come from
+    one stacked ``matcore._eigvalsh``, in ascending order."""
     if not states.is_precopula(chi, tol):
         raise NotPrecopula(f"marginals are not uniform within {tol:g}")
-    spectrum = np.sort(np.linalg.eigvalsh(chi.mat))
-    pt = np.sort(np.linalg.eigvalsh(states.partial_transpose(chi)))
+    with matcore._lapack_errors():
+        spectrum, pt = matcore._eigvalsh(np.stack([chi.mat, states.partial_transpose(chi)]))
     sq = chi.mat @ chi.mat
     powers = [float(np.trace(sq).real), float(np.trace(sq @ chi.mat).real)]
     return np.concatenate([spectrum, powers, pt])

@@ -53,7 +53,8 @@ def _spectra(mats, what: str):
     if not idx:
         return out, None
     h = _rows(h, idx)
-    w, v = np.linalg.eigh(h)
+    with matcore._lapack_errors():
+        w, v = matcore._eigh(h)
     n = h.shape[-1]
     ranks = np.count_nonzero(w > RANK_TOL * w[:, -1:], axis=1).tolist()
     lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
@@ -91,7 +92,9 @@ def _same_rank_distances(ha, va, wb, vb, rank: int) -> list:
         same = ~(np.linalg.norm(pa - pb, 2, axis=(1, 2)) > SUPPORT_TOL)
     a_r = basis.conj().swapaxes(-1, -2) @ ha @ basis
     s = 1.0 / np.sqrt(wb[:, n - rank :])
-    ev = np.linalg.eigvalsh(matcore.hermitian_part(a_r * s[:, None, :] * s[:, :, None]))
+    whitened = matcore.hermitian_part(a_r * s[:, None, :] * s[:, :, None])
+    with matcore._lapack_errors():
+        ev = matcore._eigvalsh(whitened)
     # one state's numpy scalar at a time: an array log may round differently
     return [
         float(np.log(w[-1] / w[0])) if ok and w[0] > 0.0 else math.inf
@@ -139,6 +142,11 @@ def hilbert_distance(a, b):
     and (S, n', n'). The result is then a list whose entry k is, bit for
     bit, what the call on the pair (a[k], b[k]) returns or the
     ``QcopulaError`` it raises, so that one bad pair hides no other.
+
+    The eigendecompositions are ``matcore._eigh`` and ``_eigvalsh``, with
+    numpy.linalg's bits and errors; only those calls run inside
+    ``matcore._lapack_errors``, since the checks before them meet NaN
+    entries, which that state would turn into ``LinAlgError``.
     """
     if isinstance(a, np.ndarray) and a.ndim == 3:
         if not (isinstance(b, np.ndarray) and b.ndim == 3 and len(b) == len(a)):

@@ -52,6 +52,8 @@ def sinkhorn_scale(
     mat = np.asarray(a, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInput(f"matrix must be square, got shape {mat.shape}")
+    if not mat.size:
+        raise InvalidInput("matrix must have at least one entry")
     if not np.all(np.isfinite(mat)):
         raise InvalidInput("matrix entries must be finite")
     if np.any(mat <= 0.0):

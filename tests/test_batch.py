@@ -365,6 +365,19 @@ class TestOwnFailures:
         for item, rho in zip(got, rhos):
             assert_same_copula(item, serial_copula(rho, cfg))
 
+    def test_short_run_floor_failure_and_good_state_in_one_chunk(self):
+        # every run of the chunk goes to extract_scalers, which turns a short
+        # run and a failed run into their errors: each entry is copula_of's
+        # for its state alone (seed 3 at (2,2) takes 11 steps, seed 2 takes 8)
+        cfg = copula.SolverConfig(max_iter=9, rank_tol=0.0)
+        rhos = [states.random_full_rank_state(2, 2, 3), near_singular_state(),
+                states.random_full_rank_state(2, 2, 2)]
+        got = copula.copula_batch(rhos, cfg)
+        kinds = ["NotConverged", "SingularIntermediate", "CopulaResult"]
+        assert [type(item).__name__ for item in got] == kinds
+        for item, rho in zip(got, rhos):
+            assert_same_copula(item, serial_copula(rho, cfg))
+
     def test_rank_check_and_settings_per_state(self):
         deficient = states.DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), 2, 2)
         good = [states.random_full_rank_state(2, 2, seed) for seed in (0, 1)]

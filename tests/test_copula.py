@@ -292,6 +292,23 @@ class TestExtractScalers:
         with pytest.raises(NotConverged):
             copula.extract_scalers(phi, report)
 
+    @pytest.mark.parametrize("max_iter", [1, 3, 7])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_short_run_raises_the_error_of_copula_of(self, dims, max_iter):
+        # every seed here takes at least 8 steps, so each run is short
+        for seed in range(3):
+            rho = states.random_full_rank_state(*dims, seed)
+            phi = choi.choi_from_state(rho)
+            report = copula.fixed_point_iterate(phi, max_iter=max_iter)
+            with pytest.raises(NotConverged) as want:
+                copula.copula_of(rho, copula.SolverConfig(max_iter=max_iter))
+            with pytest.raises(NotConverged) as got:
+                copula.extract_scalers(phi, report)
+            assert str(got.value) == str(want.value)
+            assert got.value.report is report
+            (listed,) = copula.extract_scalers([phi], [report])
+            assert type(listed) is NotConverged and str(listed) == str(want.value)
+
     @pytest.mark.parametrize(
         "dims, count, message",
         [

@@ -6,13 +6,14 @@ fails outside the guard warns instead of raising ``LinAlgError``.
 """
 
 import hashlib
+import json
 import types
 import warnings
 
 import numpy as np
 import pytest
 
-from qcopula import choi, copula, matcore, states
+from qcopula import choi, cli, copula, matcore, pmetric, states
 from qcopula.errors import NotPSD, QcopulaError, SingularIntermediate
 
 ROUTINES = ("_eigh", "_eigvalsh", "_solve", "_inv", "_cholesky")
@@ -56,6 +57,38 @@ def digest(results) -> str:
         h.update(repr((r.lam, r.iterations, r.restarts, s.residual_forward, s.residual_adjoint,
                        res.marginal_residual)).encode())
     return h.hexdigest()
+
+
+def metric_stacks(d=3):
+    """Two stacks (a, b) whose pairs meet every branch of hilbert_distance:
+    full rank, rank-one projectors on one support and on two, a projector
+    against a full-rank matrix, and a zero, a non-PSD and a NaN matrix."""
+    rng = np.random.default_rng(5)
+    full = hermitian_stack(rng, 4, d)
+    u = states.random_haar_unitary(d, rng)
+    p, q = (np.outer(u[:, k], u[:, k].conj()) for k in range(2))
+    nan = full[0].copy()
+    nan[0, 1] = np.nan
+    a = [full[0], full[1], p, p, p, np.zeros((d, d)), np.diag([1.0, -1.0, 1.0]), nan]
+    b = [full[2], full[3], 2.5 * p, q, full[0], full[1], full[2], full[3]]
+    return np.array(a, dtype=complex), np.array(b, dtype=complex)
+
+
+def metric_outcomes(a, b) -> list:
+    """Each pair's distance, bit for bit, or its error's type and message."""
+    return [
+        f"{type(d).__name__}: {d}" if isinstance(d, QcopulaError) else float.hex(d)
+        for d in pmetric.hilbert_distance(a, b)
+    ]
+
+
+def axioms_document(tmp_path) -> dict:
+    out = tmp_path / "axioms.json"
+    argv = ["experiment", "metric-axioms", "--dims", "2,2", "--count", "4", "--output", str(out)]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text())
+    del doc["timing_ms"]
+    return doc
 
 
 def solve_all(rhos) -> str:
@@ -179,6 +212,30 @@ class TestPublicFallback:
         use_public_linalg(monkeypatch)
         assert read_all() == raw
 
+    def test_metric_and_invariants_match_the_raw_path(self, monkeypatch, tmp_path):
+        # hilbert_distance's eigh and eigvalsh on every branch, single and
+        # stacked; copula_invariants' eigvalsh and connection_matrices' inv;
+        # the metric-axioms suite's inverses
+        a, b = metric_stacks()
+        results = [copula.copula_of(states.random_full_rank_state(*dims, 0))
+                   for dims in ((2, 2), (2, 3), (3, 3))]
+
+        def read_all():
+            out = [metric_outcomes(a, b), pmetric.hilbert_distance(a[0], b[0]).hex()]
+            for res in results:
+                out.append(bits(copula.copula_invariants(res.chi)))
+                out.extend(bits(x) for x in copula.connection_matrices(res.scalers))
+            return out, axioms_document(tmp_path)
+
+        raw = read_all()
+        outcomes = raw[0][0]
+        assert "inf" not in outcomes[:3]
+        assert outcomes[3:] == ["inf", "inf", "ZeroMatrix: a is numerically zero",
+                                "NotPSD: a has negative eigenvalue -1.000e+00",
+                                "NonFinite: a contains NaN or Inf entries"]
+        use_public_linalg(monkeypatch)
+        assert read_all() == raw
+
     def test_large_dims_digest_matches_the_raw_path(self, monkeypatch):
         rhos = [states.random_full_rank_state(16, 16, seed) for seed in range(4)]
         raw = solve_all(rhos)
@@ -233,7 +290,7 @@ class TestFailurePaths:
         assert "eig_range" not in vars(again)
         assert again.eig_range == rho.eig_range
 
-    def test_no_path_warns(self):
+    def test_no_path_warns(self, tmp_path):
         # every entry point that reaches a helper, on passing and failing
         # inputs; the autouse fixture turns any warning into an error
         good = states.random_full_rank_state(2, 2, 0)
@@ -264,8 +321,19 @@ class TestFailurePaths:
         negative = {"dims": [1, 2], "matrix": [[[1.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.1, 0.0]]]}
         with pytest.raises(NotPSD):
             states.state_from_dict(negative)
+        a, b = metric_stacks()
+        metric_outcomes(a, b)
+        for x, y in zip(a, b):
+            try:
+                pmetric.hilbert_distance(x, y)
+            except QcopulaError:
+                pass
+        result = copula.copula_of(good)
+        copula.copula_invariants(result.chi)
+        copula.connection_matrices(result.scalers)
+        axioms_document(tmp_path)
 
-    def test_every_entry_point_holds_the_guard(self, monkeypatch):
+    def test_every_entry_point_holds_the_guard(self, monkeypatch, tmp_path):
         # each helper call happens inside _lapack_errors, whichever public
         # function it is reached from
         calls = []
@@ -295,3 +363,20 @@ class TestFailurePaths:
         calls.clear()
         states.state_from_dict(states.state_to_dict(rho))
         assert calls == ["_eigh", "_eigvalsh"]
+        result = copula.copula_of(rho)
+        calls.clear()
+        pmetric.hilbert_distance(*metric_stacks())
+        # one eigh per side, one eigvalsh per support rank (3 and 1)
+        assert calls == ["_eigh", "_eigh", "_eigvalsh", "_eigvalsh"]
+        calls.clear()
+        pmetric.hilbert_distance(rho.mat, result.chi.mat)
+        assert calls == ["_eigh", "_eigh", "_eigvalsh"]
+        calls.clear()
+        copula.copula_invariants(result.chi)
+        assert calls == ["_eigvalsh"]
+        calls.clear()
+        copula.connection_matrices(result.scalers)
+        assert calls == ["_inv"]
+        calls.clear()
+        axioms_document(tmp_path)
+        assert set(calls) == {"_eigh", "_eigvalsh", "_inv"}

@@ -65,6 +65,10 @@ class TestSinkhornScale:
         with pytest.raises(InvalidInput):
             sinkhorn.sinkhorn_scale(np.ones((2, 3)))
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(InvalidInput, match="at least one entry"):
+            sinkhorn.sinkhorn_scale(np.zeros((0, 0)))
+
     def test_rejects_nan_entry(self):
         with pytest.raises(InvalidInput, match="finite"):
             sinkhorn.sinkhorn_scale(np.array([[1.0, np.nan], [1.0, 1.0]]))
