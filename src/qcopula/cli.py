@@ -43,8 +43,6 @@ EXIT_NOT_CONVERGED = 2
 EXIT_INVALID = 3
 EXIT_UNKNOWN_SUITE = 4
 
-SUITES = ("preserve-separability", "uniqueness", "convergence", "lambda", "metric-axioms")
-
 
 class _Parser(argparse.ArgumentParser):
     # Bad invocations are validation failures, not solver failures.
@@ -362,15 +360,9 @@ def _suite_uniqueness(seed, count, dims, cfg):
     def record(i, case, outcome):
         reports, gaps = outcome
         for j, rep in enumerate(reports):
-            if isinstance(rep, QcopulaError):
-                raise rep
-            if not rep.converged:
-                raise NotConverged(
-                    f"uniqueness case {i}: init {j} did not reach the fixed point in "
-                    f"{rep.iterations} iterations (last step {rep.final_step:.3e} > "
-                    f"tol {cfg.tol:g})",
-                    report=rep,
-                )
+            error = copmod._run_error(rep, f"uniqueness case {i}: init {j}: ")
+            if error is not None:
+                raise error
         for d in gaps:
             if isinstance(d, QcopulaError):
                 raise d
@@ -446,12 +438,13 @@ def _suite_metric_axioms(seed, count, dims, cfg):
 
 
 _SUITE_BUILDERS = {
-    "lambda": _suite_lambda,
-    "convergence": _suite_convergence,
     "preserve-separability": _suite_preserve_separability,
     "uniqueness": _suite_uniqueness,
+    "convergence": _suite_convergence,
+    "lambda": _suite_lambda,
     "metric-axioms": _suite_metric_axioms,
 }
+SUITES = tuple(_SUITE_BUILDERS)
 
 
 def _sample(suite: _Suite, i: int):

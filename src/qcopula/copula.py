@@ -86,6 +86,10 @@ class SolverConfig:
                 raise InvalidInput(f"config: {name} must be finite, got {getattr(self, name)!r}")
         if self.tol <= 0.0:
             raise InvalidInput(f"config: tol must be positive, got {self.tol!r}")
+        for name in ("marginal_tol", "rank_tol"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise InvalidInput(f"config: {name} must be at least 0, got {value!r}")
         if self.max_iter < 1:
             raise InvalidInput(f"config: max_iter must be at least 1, got {self.max_iter!r}")
         if not 0.0 < self.reg_eps < 1.0:
@@ -173,7 +177,8 @@ def _apply_t(phi: choimod.ChoiOperator, x: np.ndarray):
     ``choi.apply_adjoint``, which every matrix built here passes by
     construction, and the two eigendecompositions call LAPACK through
     ``matcore._eigh``, without numpy.linalg's per-call wrapper, inside the
-    ``matcore._lapack_errors`` state the calling entry point holds. Returns
+    numpy error state ``matcore._lapack_errors`` the calling entry point
+    holds, so a failed factorization raises ``LinAlgError``. Returns
     T(x) with the eigenpairs (w, v) of the adjoint image Y, of which T(x)
     is the inverse. Nothing is symmetrized: ``eigh`` reads only the lower
     triangle, so the rounding-level asymmetry of its inputs does not reach
@@ -326,12 +331,13 @@ def _failing(w: np.ndarray) -> list:
     return np.flatnonzero(_below_floor(w[:, 0], w[:, -1])).tolist()
 
 
-def _drop_singular(keep: list, floors, errors: dict, *arrays) -> list:
+def _drop_singular(keep: list, floors, errors, *arrays) -> list:
     """``keep``, a list of positions, and each of ``arrays`` at the states
     of a stack whose spectra pass the floor of ``_eig_pd``. ``floors`` holds
     (context, w) pairs in the order a single state is checked; each other
-    state's error, at its first failing floor, goes to ``errors`` by
-    position in ``keep``. Where every state passes, all come back as given."""
+    state's error, at its first failing floor, goes to ``errors`` (a dict or
+    a list) at its position in ``keep``. Where every state passes, all come
+    back as given."""
     bad: list = []
     for context, w in floors:
         for k in _failing(w):
@@ -587,56 +593,56 @@ def scaling_equation_residuals(
     return res
 
 
+def _run_error(report, prefix: str = ""):
+    """The error a run ends in, None for a converged run: the run's own
+    error, given in place of its report, or ``NotConverged`` for a run short
+    of its tol, its message led by ``prefix``. This is the one place a run
+    becomes its error."""
+    if isinstance(report, QcopulaError):
+        return report
+    if report.converged:
+        return None
+    return NotConverged(
+        f"{prefix}fixed point not reached in {report.iterations} iterations "
+        f"(last step {report.final_step:.3e} > tol {report.tol:g})",
+        report=report,
+    )
+
+
 def _scalers_stack(phis: list, reports: list) -> list:
     """``extract_scalers`` of each (phis[k], reports[k]), maps of one dims:
     entry k is the ``ScalerPair`` or the error of the first check it fails,
-    in a single extraction's order: the run's own error, a run short of
-    its tol (``NotConverged``), the floors of the forward image, phi0 and
-    phi1, then the scaling equations. This is the one place a run becomes
-    its error. The eigendecompositions and the check run on the stack of
-    converged runs."""
-    out: list = [
-        report if isinstance(report, QcopulaError)
-        else None if report.converged
-        else NotConverged(
-            f"fixed point not reached in {report.iterations} iterations "
-            f"(last step {report.final_step:.3e} > tol {report.tol:g})",
-            report=report,
-        )
-        for report in reports
-    ]
+    in a single extraction's order: ``_run_error``, the floors of the
+    forward image, phi0 and phi1, then the scaling equations. The
+    eigendecompositions and the check run on the stack of converged runs."""
+    out = [_run_error(report) for report in reports]
     live = [k for k, item in enumerate(out) if item is None]
     if not live:
         return out
     r = _stack([phis[k]._realigned for k in live])
     rays = _stack([reports[k].phi_ray for k in live])
     n, m = phis[0].dim_in, phis[0].dim_out
-    # each state's result or error, by position in live
-    found: dict = {}
     w1, v1 = matcore._eigh(choimod._forward(r, rays))
-    keep = list(range(len(rays)))
-    keep, w1, v1, r = _drop_singular(keep, [("forward image", w1)], found, w1, v1, r)
+    keep, w1, v1, r = _drop_singular(live, [("forward image", w1)], out, w1, v1, r)
     phi1 = matcore.hermitian_part(_pd_power(w1, v1, -1.0) / m)
     phi0 = matcore.hermitian_part(n * choimod._adjoint(r, phi1))
     w0, v0 = matcore._eigh(phi0)
     wi, vi = matcore._eigh(phi1)
     keep, r, phi0, phi1, w0, v0, w1, v1, wi, vi = _drop_singular(
-        keep, [("phi0", w0), ("phi1", wi)], found, r, phi0, phi1, w0, v0, w1, v1, wi, vi
+        keep, [("phi0", w0), ("phi1", wi)], out, r, phi0, phi1, w0, v0, w1, v1, wi, vi
     )
     res = _scaling_residuals(r, phi0, phi1, _pd_power(w0, v0, -1.0), _pd_power(wi, vi, -1.0))
     psi0 = _pd_power(w0, v0, 0.5)
     psi1 = _pd_power(m * w1, v1, -0.5)
     for j, (pos, (res1, res2)) in enumerate(zip(keep, res)):
-        bound = max(SCALING_EQ_RTOL, reports[live[pos]].tol)
+        bound = max(SCALING_EQ_RTOL, reports[pos].tol)
         if res1 > bound or res2 > bound:
-            found[pos] = VerificationFailed(
+            out[pos] = VerificationFailed(
                 f"scaling equations missed {bound:g} relative: "
                 f"forward {res1:.3e}, adjoint {res2:.3e}"
             )
         else:
-            found[pos] = ScalerPair(phi0[j], phi1[j], psi0[j], psi1[j], res1, res2)
-    for pos, item in found.items():
-        out[live[pos]] = item
+            out[pos] = ScalerPair(phi0[j], phi1[j], psi0[j], psi1[j], res1, res2)
     return out
 
 

@@ -6,7 +6,6 @@ unless stated otherwise.
 
 from __future__ import annotations
 
-import contextvars
 import math
 
 import numpy as np
@@ -32,35 +31,20 @@ def _lapack_failed(err, flag):
 _LINALG_ERRSTATE = dict(
     call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
 )
-_GUARDED = contextvars.ContextVar("qcopula_lapack_errors", default=False)
 
 
-class _lapack_errors:
+def _lapack_errors():
     """Context in which the LAPACK helpers below fail as ``numpy.linalg``
     does: numpy's floating-point error state is the one the public functions
     hold around each gufunc call (an invalid value raises ``LinAlgError``;
     overflow, division by zero and underflow are ignored). Each public entry
-    point that reaches a helper holds one for its whole run; inside another
-    it is a no-op, so a solve enters numpy's error state once. The state
-    covers the solve's other numpy arithmetic too. Its operands pass the
-    solver's finiteness and floor checks first, but for the Anderson
-    candidate's, which may overflow or turn invalid on a near-singular Gram
-    system; such a candidate is rejected under either error state."""
-
-    __slots__ = ("_errstate", "_token")
-
-    def __enter__(self):
-        if _GUARDED.get():
-            self._errstate = None
-            return
-        self._token = _GUARDED.set(True)
-        self._errstate = np.errstate(**_LINALG_ERRSTATE)
-        self._errstate.__enter__()
-
-    def __exit__(self, *exc):
-        if self._errstate is not None:
-            self._errstate.__exit__(*exc)
-            _GUARDED.reset(self._token)
+    point that reaches a helper holds one for its whole run, and entries
+    nest as ``np.errstate``'s do. The state covers the solve's other numpy
+    arithmetic too. Its operands pass the solver's finiteness and floor
+    checks first, but for the Anderson candidate's, which may overflow or
+    turn invalid on a near-singular Gram system; such a candidate is
+    rejected under either error state."""
+    return np.errstate(**_LINALG_ERRSTATE)
 
 
 def _gufunc_call(gufunc, signature: str, message: str):

@@ -144,9 +144,9 @@ def hilbert_distance(a, b):
     ``QcopulaError`` it raises, so that one bad pair hides no other.
 
     The eigendecompositions are ``matcore._eigh`` and ``_eigvalsh``, with
-    numpy.linalg's bits and errors; only those calls run inside
-    ``matcore._lapack_errors``, since the checks before them meet NaN
-    entries, which that state would turn into ``LinAlgError``.
+    numpy.linalg's bits and errors; only those calls run inside numpy's
+    error state ``matcore._lapack_errors``, since the checks before them
+    meet NaN entries, which that state would turn into ``LinAlgError``.
     """
     if isinstance(a, np.ndarray) and a.ndim == 3:
         if not (isinstance(b, np.ndarray) and b.ndim == 3 and len(b) == len(a)):

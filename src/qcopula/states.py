@@ -16,9 +16,7 @@ import numpy as np
 from . import jsonio, matcore
 from .errors import DegenerateSample, InvalidInput, NotPSD
 
-STATE_HERMITIAN_RTOL = 1e-10
-STATE_TRACE_ATOL = 1e-10
-STATE_EIG_FLOOR = -1e-10
+STATE_TRACE_ATOL = 1e-10  # DensityMatrix's tolerance: Hermitian (relative), trace and PSD floor
 JSON_ATOL = 1e-8
 FULL_RANK_FLOOR = 1e-12
 RESAMPLE_ATTEMPTS = 10
@@ -57,22 +55,9 @@ class DensityMatrix:
         if n < 1 or m < 1:
             raise InvalidInput("dims: factor dimensions must be positive integers")
         mat = np.asarray(self.mat, dtype=np.complex128)
-        d = n * m
-        if mat.shape != (d, d):
-            raise InvalidInput(
-                f"dims: matrix has shape {mat.shape}, expected ({d}, {d}) for dims ({n}, {m})"
-            )
-        h = matcore.require_hermitian(mat, STATE_HERMITIAN_RTOL, "density matrix")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > STATE_TRACE_ATOL:
-            raise InvalidInput(f"trace: expected 1 within {STATE_TRACE_ATOL:g}, got {tr.real:.12g}")
-        with matcore._lapack_errors():
-            if not (_cholesky and _cholesky_succeeds(h)):
-                w = matcore._eigvalsh(h)
-                lo = float(w[0])
-                if lo < STATE_EIG_FLOOR:
-                    raise NotPSD(f"PSD: minimum eigenvalue {lo:.3e} below {STATE_EIG_FLOOR:g}")
-                object.__setattr__(self, "eig_range", (lo, float(w[-1])))
+        h, w, _ = _check_state(mat, n, m, STATE_TRACE_ATOL, "density matrix", cholesky=_cholesky)
+        if w is not None:
+            object.__setattr__(self, "eig_range", (float(w[0]), float(w[-1])))
         h.flags.writeable = False
         object.__setattr__(self, "mat", h)
         object.__setattr__(self, "dim_a", n)
@@ -101,6 +86,37 @@ def _cholesky_succeeds(h: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _check_state(
+    mat: np.ndarray, n: int, m: int, tol: float, what: str, scale_floor: float = 0.0,
+    cholesky: bool = False, vectors: bool = False,
+):
+    """The checks of both state intakes, in order: ``mat`` is (nm, nm),
+    Hermitian within ``tol * max(scale, scale_floor)`` (scale its largest
+    entry magnitude), of trace 1 within ``tol`` and without an eigenvalue
+    below ``-tol``. ``what`` names the matrix in the Hermitian messages.
+
+    Returns (h, w, v): h the Hermitian part, w its ascending eigenvalues and
+    v their eigenvectors from ``eigh`` when ``vectors``, else None. With
+    ``cholesky`` a Cholesky factorization of h that succeeds proves it
+    positive definite in place of the floor, and w is then None too."""
+    d = n * m
+    if mat.shape != (d, d):
+        raise InvalidInput(
+            f"dims: matrix has shape {mat.shape}, expected ({d}, {d}) for dims ({n}, {m})"
+        )
+    h = matcore.require_hermitian(mat, tol, what, scale_floor)
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > tol:
+        raise InvalidInput(f"trace: expected 1 within {tol:g}, got {tr.real:.12g}")
+    with matcore._lapack_errors():
+        if cholesky and _cholesky_succeeds(h):
+            return h, None, None
+        w, v = matcore._eigh(h) if vectors else (matcore._eigvalsh(h), None)
+    if w[0] < -tol:
+        raise NotPSD(f"PSD: minimum eigenvalue {float(w[0]):.3e} below {-tol:g}")
+    return h, w, v
 
 
 @dataclass(frozen=True)
@@ -267,19 +283,7 @@ def state_from_dict(obj) -> DensityMatrix:
         raise InvalidInput('dims: expected "dims": [n, m] with positive integers')
     n, m = int(dims[0]), int(dims[1])
     mat = jsonio.pairs_to_complex(obj.get("matrix"), what="matrix")
-    d = n * m
-    if mat.shape != (d, d):
-        raise InvalidInput(
-            f"dims: matrix has shape {mat.shape}, expected ({d}, {d}) for dims ({n}, {m})"
-        )
-    h = matcore.require_hermitian(mat, JSON_ATOL, "matrix", scale_floor=1.0)
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > JSON_ATOL:
-        raise InvalidInput(f"trace: expected 1 within {JSON_ATOL:g}, got {tr.real:.12g}")
-    with matcore._lapack_errors():
-        w, v = matcore._eigh(h)
-    if w[0] < -JSON_ATOL:
-        raise NotPSD(f"PSD: minimum eigenvalue {w[0]:.3e} below {-JSON_ATOL:g}")
+    _, w, v = _check_state(mat, n, m, JSON_ATOL, "matrix", scale_floor=1.0, vectors=True)
     # Repair file round-off: clip tiny negative eigenvalues, renormalize.
     w = np.clip(w, 0.0, None)
     h = (v * w) @ v.conj().T

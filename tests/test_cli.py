@@ -379,10 +379,15 @@ class TestBatchedSuites:
         report = copula.fixed_point_iterate(phi, max_iter=2, init=init)
         assert code == 2
         assert doc is None
-        assert capsys.readouterr().err == (
-            "error: uniqueness case 0: init 0 did not reach the fixed point in 2 iterations "
+        err = capsys.readouterr().err
+        assert err == (
+            "error: uniqueness case 0: init 0: fixed point not reached in 2 iterations "
             f"(last step {report.final_step:.3e} > tol 1e-12)\n"
         )
+        # the suite leads extract_scalers' own message for the same run
+        with pytest.raises(NotConverged) as short:
+            copula.extract_scalers(phi, report)
+        assert err.endswith(f": {short.value}\n")
 
     @pytest.mark.parametrize("sample_fails_first", [True, False])
     def test_errors_surface_in_case_order(self, tmp_path, monkeypatch, capsys, sample_fails_first):
@@ -485,11 +490,13 @@ class TestSolverKnobs:
             ({"marginal_tol": float("nan")}, "marginal_tol"),
             ({"rank_tol": float("inf")}, "rank_tol"),
             ({"tol": -1e-12}, "tol"),
+            ({"rank_tol": -1}, "rank_tol"),
+            ({"marginal_tol": -5}, "marginal_tol"),
         ],
         ids=[
             "tol-0", "tol-negative", "tol-nan", "tol-inf", "max-iter-0", "reg-eps-0",
             "reg-eps-1", "reg-eps-nan", "file-marginal-tol-nan", "file-rank-tol-inf",
-            "file-tol-negative",
+            "file-tol-negative", "file-rank-tol-negative", "file-marginal-tol-negative",
         ],
     )
     @pytest.mark.parametrize("command", ["copula", "experiment"])

@@ -428,14 +428,21 @@ class TestCopulaOf:
             ({"max_iter": 0}, "max_iter"),
             ({"tol": 0.0}, "tol"),
             ({"tol": float("nan")}, "tol"),
+            ({"rank_tol": -1.0}, "rank_tol"),
+            ({"marginal_tol": -5.0}, "marginal_tol"),
         ],
-        ids=["reg-eps-1.5", "max-iter-0", "tol-0", "tol-nan"],
+        ids=["reg-eps-1.5", "max-iter-0", "tol-0", "tol-nan", "rank-tol-negative",
+             "marginal-tol-negative"],
     )
     def test_out_of_range_settings_are_invalid_input(self, settings, field):
         rho = states.random_full_rank_state(2, 2, 0)
         cfg = copula.SolverConfig(**settings)
         with pytest.raises(InvalidInput, match=f"config: {field} "):
             copula.copula_of(rho, cfg)
+
+    def test_zero_tolerances_are_in_range(self):
+        cfg = copula.SolverConfig(rank_tol=0.0, marginal_tol=0.0)
+        cfg._check_ranges()
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcopula import matcore, states
-from qcopula.errors import InvalidInput, NotHermitian, NotPSD
+from qcopula.errors import InvalidInput, NotHermitian, NotPSD, QcopulaError
 
 
 def bell_state():
@@ -365,6 +365,36 @@ class TestJsonSchema:
         else:
             with pytest.raises(NotPSD, match="PSD"):
                 states.state_from_dict(doc)
+
+    @pytest.mark.parametrize("defect", ["shape", "hermitian", "trace", "psd"])
+    def test_messages_match_density_matrix(self, defect):
+        # Both intakes run one check: each 2x edge input above fails both with
+        # one message, apart from the name, the tolerance and the file's
+        # Hermitian scale floor of 1.
+        w = np.full(16, 1 / 16)
+        if defect == "psd":
+            w[0], w[1] = -2e-8, 2 / 16 + 2e-8
+        doc = self.mixed_doc_4x4(w)
+        if defect == "shape":
+            doc["dims"] = [2, 3]
+        elif defect == "hermitian":
+            doc["matrix"][0][1] = [2e-8, 0.0]
+        elif defect == "trace":
+            doc["matrix"][0][0] = [1 / 16 + 2e-8, 0.0]
+        mat = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
+        with pytest.raises(QcopulaError) as want:
+            states.DensityMatrix(mat, *doc["dims"])
+        with pytest.raises(QcopulaError) as got:
+            states.state_from_dict(doc)
+        scale = np.abs(mat).max()
+        expected = (
+            str(want.value)
+            .replace("density matrix", "matrix")
+            .replace("1e-10", "1e-08")
+            .replace(f"scale {scale:.3e}", f"scale {max(scale, 1.0):.3e}")
+        )
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == expected
 
     def test_rejects_bad_dims(self):
         doc = states.state_to_dict(states.DensityMatrix(np.eye(4) / 4, 2, 2))
