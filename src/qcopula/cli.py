@@ -227,7 +227,8 @@ class _Suite(NamedTuple):
     """One experiment suite. ``sample(i)`` draws case i's input, ``solve``
     maps a list of inputs to their outcomes (a result, or the error its
     solve raised), ``record(i, input, outcome)`` is case i's document entry
-    and ``agg`` summarizes the entries."""
+    after its ``"index"``, which ``_run_cases`` writes, and ``agg``
+    summarizes the entries."""
 
     sample: Callable
     solve: Callable
@@ -239,19 +240,20 @@ def _copulas(cfg):
     return lambda rhos: copmod.copula_batch(rhos, cfg)
 
 
+def _lambda_case(report, dims, tol):
+    """The paper's scale claim for one solve: lambda = n/m, within
+    max(1e-8, tol)."""
+    err = abs(report.lam - dims[0] / dims[1])
+    return {
+        "lambda": report.lam,
+        "lambda_error": err,
+        "iterations": report.iterations,
+        "pass": bool(err <= max(1e-8, tol)),
+    }
+
+
 def _suite_lambda(seed, count, dims, cfg):
     n, m = dims
-    target = n / m
-
-    def record(i, rho, result):
-        err = abs(result.report.lam - target)
-        return {
-            "index": i,
-            "lambda": result.report.lam,
-            "lambda_error": err,
-            "iterations": result.report.iterations,
-            "pass": bool(err <= max(1e-8, cfg.tol)),
-        }
 
     def agg(recs):
         return {
@@ -260,7 +262,8 @@ def _suite_lambda(seed, count, dims, cfg):
         }
 
     return _Suite(
-        lambda i: states.random_full_rank_state(n, m, seed + i), _copulas(cfg), record, agg
+        lambda i: states.random_full_rank_state(n, m, seed + i), _copulas(cfg),
+        lambda i, rho, res: _lambda_case(res.report, dims, cfg.tol), agg,
     )
 
 
@@ -270,7 +273,6 @@ def _suite_convergence(seed, count, dims, cfg):
     def record(i, rho, result):
         its = result.report.iterations
         return {
-            "index": i,
             "iterations": its,
             "final_step": result.report.final_step,
             "marginal_residual": result.marginal_residual,
@@ -290,6 +292,19 @@ def _suite_convergence(seed, count, dims, cfg):
     )
 
 
+def _separability_case(rho, result):
+    """The paper's separability claim for one solve: the state and its
+    copula get the same PPT tag."""
+    tag_in = states.ppt_verdict(rho).tag
+    tag_out = states.ppt_verdict(result.chi).tag
+    return {
+        "input_tag": tag_in,
+        "copula_tag": tag_out,
+        "marginal_residual": result.marginal_residual,
+        "pass": bool(tag_in == tag_out),
+    }
+
+
 def _suite_preserve_separability(seed, count, dims, cfg):
     n, m = dims
     if min(n, m) < 2:  # with a factor of dimension 1 every state is separable
@@ -305,24 +320,20 @@ def _suite_preserve_separability(seed, count, dims, cfg):
                 return rho
         raise QcopulaError(f"could not sample an entangled state at dims ({n}, {m})")
 
-    def record(i, rho, result):
-        tag_in = states.ppt_verdict(rho).tag
-        tag_out = states.ppt_verdict(result.chi).tag
-        return {
-            "index": i,
-            "input_tag": tag_in,
-            "copula_tag": tag_out,
-            "marginal_residual": result.marginal_residual,
-            "pass": bool(tag_in == tag_out),
-        }
-
     def agg(recs):
         return {
             "verdict_agreements": sum(1 for r in recs if r["pass"]),
             "max_marginal_residual": max(r["marginal_residual"] for r in recs),
         }
 
-    return _Suite(sample, _copulas(cfg), record, agg)
+    return _Suite(sample, _copulas(cfg), lambda i, rho, res: _separability_case(rho, res), agg)
+
+
+def _ray_gap_case(gaps):
+    """The paper's uniqueness claim for one state: the rays reached from
+    different starts lie within 1e-8 of the first in the Hilbert metric."""
+    gap = max(gaps)
+    return {"max_ray_gap": gap, "pass": bool(gap <= 1e-8)}
 
 
 def _suite_uniqueness(seed, count, dims, cfg):
@@ -366,13 +377,40 @@ def _suite_uniqueness(seed, count, dims, cfg):
         for d in gaps:
             if isinstance(d, QcopulaError):
                 raise d
-        gap = max(gaps)
-        return {"index": i, "max_ray_gap": gap, "pass": bool(gap <= 1e-8)}
+        return _ray_gap_case(gaps)
 
     def agg(recs):
         return {"max_ray_gap": max(r["max_ray_gap"] for r in recs)}
 
     return _Suite(sample, solve, record, agg)
+
+
+def _metric_axioms_case(distances):
+    """The Hilbert metric's axioms on one case, from its seven distances
+    d(a,b), d(b,a), d(a,c), d(b,c), d(f a, b), d(a^-1, b^-1) and d(p1, p2):
+    symmetry, the triangle inequality, invariance under scaling and under
+    inversion, and an infinite distance between orthogonal supports."""
+    dab, dba, dac, dbc, d_scaled, d_inv, d_proj = distances
+    sym = abs(dab - dba)
+    triangle = dac - (dab + dbc)
+    scale = abs(d_scaled - dab)
+    inv_gap = abs(d_inv - dab)
+    infinite = math.isinf(d_proj)
+    ok = (
+        sym <= 1e-10
+        and triangle <= 1e-10
+        and scale <= 1e-12
+        and inv_gap <= 1e-10
+        and infinite
+    )
+    return {
+        "symmetry_gap": sym,
+        "triangle_excess": triangle,
+        "scale_gap": scale,
+        "inversion_gap": inv_gap,
+        "support_mismatch_infinite": infinite,
+        "pass": bool(ok),
+    }
 
 
 def _suite_metric_axioms(seed, count, dims, cfg):
@@ -402,30 +440,6 @@ def _suite_metric_axioms(seed, count, dims, cfg):
         rows = zip(*(pmetric.hilbert_distance(x, y) for x, y in pairs))
         return [next((d for d in row if isinstance(d, QcopulaError)), row) for row in rows]
 
-    def record(i, _case, distances):
-        dab, dba, dac, dbc, d_scaled, d_inv, d_proj = distances
-        sym = abs(dab - dba)
-        triangle = dac - (dab + dbc)
-        scale = abs(d_scaled - dab)
-        inv_gap = abs(d_inv - dab)
-        infinite = math.isinf(d_proj)
-        ok = (
-            sym <= 1e-10
-            and triangle <= 1e-10
-            and scale <= 1e-12
-            and inv_gap <= 1e-10
-            and infinite
-        )
-        return {
-            "index": i,
-            "symmetry_gap": sym,
-            "triangle_excess": triangle,
-            "scale_gap": scale,
-            "inversion_gap": inv_gap,
-            "support_mismatch_infinite": infinite,
-            "pass": bool(ok),
-        }
-
     def agg(recs):
         return {
             "max_symmetry_gap": max(r["symmetry_gap"] for r in recs),
@@ -434,7 +448,7 @@ def _suite_metric_axioms(seed, count, dims, cfg):
             "max_inversion_gap": max(r["inversion_gap"] for r in recs),
         }
 
-    return _Suite(sample, solve, record, agg)
+    return _Suite(sample, solve, lambda i, case, distances: _metric_axioms_case(distances), agg)
 
 
 _SUITE_BUILDERS = {
@@ -469,7 +483,7 @@ def _run_cases(suite: _Suite, count: int, chunk: int) -> list[dict]:
             outcome = next(outcomes)
             if isinstance(outcome, Exception):
                 raise outcome
-            records.append(suite.record(i, case, outcome))
+            records.append({"index": i, **suite.record(i, case, outcome)})
     return records
 
 

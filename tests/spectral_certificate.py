@@ -13,7 +13,8 @@ bounds of the true contraction, so each must stay at or below its bound.
 
 import numpy as np
 
-from qcopula import choi, pmetric, states
+from qcopula import choi, copula, pmetric, states
+from qcopula.errors import NotConverged
 
 BOUNDARY_WEIGHTS = (1e-2, 1e-4, 1e-6)
 # an image's computed eigenvalues may leave [mu Tr, M Tr] by the rounding of
@@ -54,6 +55,26 @@ def near_boundary_state(n, m, rank, floor, seed) -> states.DensityMatrix:
     w[0], w[-1] = 1.0, floor
     mat = (u * (w / w.sum())) @ u.conj().T
     return states.DensityMatrix((mat + mat.conj().T) / 2.0, n, m)
+
+
+def solve_verifies_or_reports_not_converged(rho, cfg):
+    """Solve ``rho`` and hold the outcome to the rule for valid inputs: a
+    copula whose marginals and scaling equations meet the bounds ``cfg.tol``
+    allows, or ``NotConverged`` because the loop ran out of steps or ``tol``
+    lies below what rounding allows on ``rho``. Returns the run's report;
+    any other error propagates."""
+    try:
+        result = copula.copula_of(rho, cfg)
+    except NotConverged as exc:
+        lo, hi = rho.eig_range
+        report = exc.report
+        assert report.iterations == cfg.max_iter or cfg.tol * lo < copula.ROUNDING_EPS * hi
+        return report
+    assert max(states.marginal_residuals(result.chi)) <= max(cfg.marginal_tol, cfg.tol)
+    phi = choi.choi_from_state(rho)
+    residuals = copula.scaling_equation_residuals(phi, result.scalers.phi0, result.scalers.phi1)
+    assert max(residuals) <= max(copula.SCALING_EQ_RTOL, cfg.tol)
+    return result.report
 
 
 def inv_pd(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qcopula import choi, copula, pmetric, sinkhorn, states
+from qcopula import choi, cli, copula, pmetric, sinkhorn, states
 from oracles import choi_from_map
 from spectral_certificate import certified_kappa, contraction_ratios
 
@@ -66,11 +66,16 @@ def test_criterion_01_precopula_construction(batch_runs):
 
 
 def test_criterion_02_lambda_is_dimension_ratio(batch_runs):
-    worst = 0.0
-    for (n, m), cases in batch_runs.items():
-        for _, result in cases:
-            worst = max(worst, abs(result.report.lam - n / m))
-    report(2, "lambda = n/m", worst <= 1e-8, f"(max |lambda - n/m| {worst:.2e} <= 1e-8)")
+    # the lambda suite's rule, at the tol the batch was solved with
+    tol = copula.SolverConfig().tol
+    cases = [
+        cli._lambda_case(result.report, dims, tol)
+        for dims, runs in batch_runs.items()
+        for _, result in runs
+    ]
+    worst = max(c["lambda_error"] for c in cases)
+    report(2, "lambda = n/m", all(c["pass"] for c in cases),
+           f"({len(cases)} runs, max |lambda - n/m| {worst:.2e})")
 
 
 def test_criterion_03_scaling_equation_residuals(batch_runs):
@@ -87,7 +92,8 @@ def test_criterion_03_scaling_equation_residuals(batch_runs):
 
 
 def test_criterion_04_unique_fixed_ray():
-    worst = 0.0
+    # the uniqueness suite's rule on each state's ray gaps
+    cases = []
     rng = np.random.default_rng(777)
     for seed in range(50):
         phi = choi.choi_from_state(states.random_full_rank_state(2, 2, seed))
@@ -97,10 +103,11 @@ def test_criterion_04_unique_fixed_ray():
             rep = copula.fixed_point_iterate(phi, init=init)
             assert rep.converged
             rays.append(rep.phi_ray)
-        for ray in rays[1:]:
-            worst = max(worst, pmetric.hilbert_distance(rays[0], ray))
-    report(4, "unique fixed ray across initializations", worst <= 1e-8,
-           f"(50 states x 5 inits, max ray gap {worst:.2e} <= 1e-8)")
+        gaps = [pmetric.hilbert_distance(rays[0], ray) for ray in rays[1:]]
+        cases.append(cli._ray_gap_case(gaps))
+    worst = max(c["max_ray_gap"] for c in cases)
+    report(4, "unique fixed ray across initializations", all(c["pass"] for c in cases),
+           f"(50 states x 5 inits, max ray gap {worst:.2e})")
 
 
 def test_criterion_05_connection_verification(batch_runs):
@@ -114,12 +121,10 @@ def test_criterion_05_connection_verification(batch_runs):
 
 
 def test_criterion_06_separability_preservation(separability_runs):
-    agree = sum(
-        1
-        for rho, result in separability_runs
-        if states.ppt_verdict(rho).tag == states.ppt_verdict(result.chi).tag
-    )
-    total = len(separability_runs)
+    # the preserve-separability suite's rule on each state
+    cases = [cli._separability_case(rho, result) for rho, result in separability_runs]
+    agree = sum(c["pass"] for c in cases)
+    total = len(cases)
     report(6, "separability preservation", agree == total and total >= 200,
            f"({agree}/{total} verdict agreements)")
 
@@ -152,41 +157,31 @@ def test_criterion_07_convergence_speed():
 
 
 def test_criterion_08_metric_axioms():
+    # the metric-axioms suite's rule on each case's seven distances
     rng = np.random.default_rng(888)
-    sym = tri = scale = inv = 0.0
-    infinite_hits = 0
+    cases = []
     count = 500
     for _ in range(count):
         a = states.wishart_state_matrix(4, rng)
         b = states.wishart_state_matrix(4, rng)
         c = states.wishart_state_matrix(4, rng)
-        dab = pmetric.hilbert_distance(a, b)
-        sym = max(sym, abs(dab - pmetric.hilbert_distance(b, a)))
-        tri = max(
-            tri,
-            pmetric.hilbert_distance(a, c)
-            - (dab + pmetric.hilbert_distance(b, c)),
-        )
         factor = float(rng.uniform(1e-3, 1e3))
-        scale = max(scale, abs(pmetric.hilbert_distance(factor * a, b) - dab))
-        inv = max(
-            inv,
-            abs(pmetric.hilbert_distance(np.linalg.inv(a), np.linalg.inv(b)) - dab),
-        )
         u = states.random_haar_unitary(4, rng)
         p1 = np.outer(u[:, 0], u[:, 0].conj())
         p2 = np.outer(u[:, 1], u[:, 1].conj())
-        infinite_hits += math.isinf(pmetric.hilbert_distance(p1, p2))
-    ok = (
-        sym <= 1e-10
-        and tri <= 1e-10
-        and scale <= 1e-12
-        and inv <= 1e-10
-        and infinite_hits == count
-    )
-    report(8, "projective metric axioms", ok,
-           f"(sym {sym:.1e}, triangle {tri:.1e}, scale {scale:.1e}, "
-           f"inversion {inv:.1e}, {infinite_hits}/{count} infinite)")
+        pairs = ((a, b), (b, a), (a, c), (b, c), (factor * a, b),
+                 (np.linalg.inv(a), np.linalg.inv(b)), (p1, p2))
+        distances = [pmetric.hilbert_distance(x, y) for x, y in pairs]
+        cases.append(cli._metric_axioms_case(distances))
+
+    def worst(key):
+        return max(case[key] for case in cases)
+
+    infinite_hits = sum(c["support_mismatch_infinite"] for c in cases)
+    report(8, "projective metric axioms", all(c["pass"] for c in cases),
+           f"(sym {worst('symmetry_gap'):.1e}, triangle {worst('triangle_excess'):.1e}, "
+           f"scale {worst('scale_gap'):.1e}, inversion {worst('inversion_gap'):.1e}, "
+           f"{infinite_hits}/{count} infinite)")
 
 
 def test_criterion_09_choi_layer_identities():

@@ -10,13 +10,13 @@ the boundary of the cone.
 import numpy as np
 import pytest
 
-from qcopula import choi, copula, states
-from qcopula.errors import NotConverged
+from qcopula import copula
 from spectral_certificate import (
     certified_kappa,
     contraction_ratios,
     near_boundary_state,
     obeys_positivity_certificate,
+    solve_verifies_or_reports_not_converged,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -46,19 +46,7 @@ def test_solve_verifies_or_reports_not_converged(case):
     assert np.abs(rho.mat.imag).max() > 0.0
     lo, hi = rho.eig_range
     assert lo > 0.5 * floor * hi
-    cfg = copula.SolverConfig(tol=tol)
-    try:
-        result = copula.copula_of(rho, cfg)
-    except NotConverged as exc:
-        # either the loop ran out of iterations, or its result missed a
-        # check at a tol below what rounding allows on this input
-        report = exc.report
-        assert report.iterations == cfg.max_iter or tol * lo < copula.ROUNDING_EPS * hi
-        return
-    assert max(states.marginal_residuals(result.chi)) <= max(cfg.marginal_tol, tol)
-    phi = choi.choi_from_state(rho)
-    residuals = copula.scaling_equation_residuals(phi, result.scalers.phi0, result.scalers.phi1)
-    assert max(residuals) <= max(copula.SCALING_EQ_RTOL, tol)
+    solve_verifies_or_reports_not_converged(rho, copula.SolverConfig(tol=tol))
 
 
 @pytest.mark.parametrize("floor", [1e-3, 1e-6])
