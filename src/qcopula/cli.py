@@ -241,8 +241,8 @@ def _copulas(cfg):
 
 
 def _lambda_case(report, dims, tol):
-    """The paper's scale claim for one solve: lambda = n/m, within
-    max(1e-8, tol)."""
+    """The paper's scale claim for one solve: the scale at the fixed point
+    is lambda = n/m, to within the solve's tolerance."""
     err = abs(report.lam - dims[0] / dims[1])
     return {
         "lambda": report.lam,
@@ -331,7 +331,8 @@ def _suite_preserve_separability(seed, count, dims, cfg):
 
 def _ray_gap_case(gaps):
     """The paper's uniqueness claim for one state: the rays reached from
-    different starts lie within 1e-8 of the first in the Hilbert metric."""
+    different starts coincide, judged by their largest Hilbert distance
+    from the first."""
     gap = max(gaps)
     return {"max_ray_gap": gap, "pass": bool(gap <= 1e-8)}
 

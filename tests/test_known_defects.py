@@ -3,10 +3,12 @@
 Each test states what the program should do on a whole family of valid
 inputs, with the suites' own pass rules (``cli._*_case``) or the checks of
 the test it extends, and is marked ``xfail(strict=True)`` with the ROADMAP
-item that mends it and the cases that fail today. A family rather than a
-single case is pinned because several misses sit at rounding level and a
-lone case could pass on another BLAS. A change that mends a family makes
-its test pass, which fails the run until the marker is removed.
+item that mends it and the cases that fail today. Only a failed assertion
+counts as the expected failure, so any other error still fails the run. A
+family rather than a single case is pinned because several misses sit at
+rounding level and a lone case could pass on another BLAS. A change that
+mends a family makes its test pass, which fails the run until the marker is
+removed.
 """
 
 import numpy as np
@@ -20,14 +22,14 @@ from test_copula import near_boundary_state as near_singular_mixture
 DIMS = ((2, 2), (2, 3), (3, 3))
 
 
-def known_defect(reason):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
-
-
-@known_defect(
-    "ROADMAP item 8: the metric-axioms suite fails 17 of its 1200 cases, all on "
-    "the scale gap (1.05e-12 to 4.5e-11 against 1e-12); (3,3) case 170 at seed 0 "
-    "also misses symmetry by 3.0e-10"
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 8: the metric-axioms suite fails 17 of its 1200 cases, all on "
+        "the scale gap (1.05e-12 to 4.5e-11 against 1e-12); (3,3) case 170 at seed 0 "
+        "also misses symmetry by 3.0e-10"
+    ),
 )
 def test_metric_axioms_suite_passes_every_case():
     failing = []
@@ -39,9 +41,13 @@ def test_metric_axioms_suite_passes_every_case():
     assert failing == []
 
 
-@known_defect(
-    "ROADMAP item 1: at --tol 1e-6 the uniqueness suite judges the ray gap at a "
-    "fixed 1e-8; 19 of 20 (2,2) cases fail, the worst gap 6.39e-6"
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 1: at --tol 1e-6 the uniqueness suite judges the ray gap at a "
+        "fixed 1e-8; 19 of 20 (2,2) cases fail, the worst gap 6.39e-6"
+    ),
 )
 def test_uniqueness_suite_passes_at_a_loose_tol(tmp_path):
     argv = ["experiment", "uniqueness", "--tol", "1e-6", "--count", "20",
@@ -49,23 +55,27 @@ def test_uniqueness_suite_passes_at_a_loose_tol(tmp_path):
     assert cli.main(argv) == cli.EXIT_OK
 
 
-def refused(family, cfg):
+def refused(family):
     """The members of ``family`` (label, state) that ``copula_of`` refuses as
-    rank deficient; every other member must end verified or in
-    ``NotConverged``."""
+    rank deficient at default settings; every other member must end verified
+    or in ``NotConverged``."""
     out = []
     for label, rho in family:
         try:
-            solve_verifies_or_reports_not_converged(rho, cfg)
+            solve_verifies_or_reports_not_converged(rho, copula.SolverConfig())
         except RankDeficient:
             out.append(label)
     return out
 
 
-@known_defect(
-    "ROADMAP item 3: the rank check refuses (2,2) mixtures (1-f)|v><v| + f W "
-    "that verify with a smaller rank_tol: 18 of 20 seeds at f = 1e-9, 20 of 20 "
-    "at 1e-10 and 1e-12"
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 3: the rank check refuses (2,2) mixtures (1-f)|v><v| + f W "
+        "that all verify at rank_tol 1e-16: 18 of 20 seeds at f = 1e-9, 20 of 20 "
+        "at 1e-10 and 1e-12"
+    ),
 )
 def test_near_singular_mixtures_are_not_refused():
     family = [
@@ -73,12 +83,16 @@ def test_near_singular_mixtures_are_not_refused():
         for f in (1e-9, 1e-10, 1e-12)
         for seed in range(20)
     ]
-    assert refused(family, copula.SolverConfig()) == []
+    assert refused(family) == []
 
 
-@known_defect(
-    "ROADMAP item 3: the rank check refuses all 24 near-boundary states with "
-    "floor 1e-12 (dims (2,2), (2,3), (3,3); ranks 1 and nm-1; seeds 0..3)"
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 3: the rank check refuses all 24 near-boundary states with "
+        "floor 1e-12 (dims (2,2), (2,3), (3,3); ranks 1 and nm-1; seeds 0..3)"
+    ),
 )
 def test_floor_1e12_boundary_states_are_not_refused():
     family = [
@@ -87,13 +101,17 @@ def test_floor_1e12_boundary_states_are_not_refused():
         for rank in (1, n * m - 1)
         for seed in range(4)
     ]
-    assert refused(family, copula.SolverConfig()) == []
+    assert refused(family) == []
 
 
-@known_defect(
-    "ROADMAP item 4: 13 rank-1 near-boundary states run all 1000 steps at "
-    "default settings: floor 1e-6 (2,3) seed 3 and (3,3) seeds 0..3; floor 1e-9 "
-    "(2,3) and (3,3) seeds 0..3"
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 4: 13 rank-1 near-boundary states run all 1000 steps at "
+        "default settings: floor 1e-6 (2,3) seed 3 and (3,3) seeds 0..3; floor 1e-9 "
+        "(2,3) and (3,3) seeds 0..3"
+    ),
 )
 def test_stalled_runs_end_before_max_iter():
     cases = [(1e-6, (2, 3), 3)] + [
@@ -124,10 +142,14 @@ def filtered_werner_state(p, seed):
     return states.DensityMatrix(mat / np.trace(mat).real, 2, 2)
 
 
-@known_defect(
-    "ROADMAP item 6: filtered Werner states at p = 1/3 + 3e-10 get a different "
-    "PPT tag from their copula for 15 of 20 seeds (1-5, 8-11, 14-19) under the "
-    "absolute -1e-10 threshold"
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 6: filtered Werner states at p = 1/3 + 3e-10 get a different "
+        "PPT tag from their copula for 15 of 20 seeds (1-5, 8-11, 14-19) under the "
+        "absolute -1e-10 threshold"
+    ),
 )
 def test_werner_family_keeps_its_ppt_tags():
     flipped = []
