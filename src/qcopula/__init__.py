@@ -19,10 +19,9 @@ from .copula import (
     copula_of,
     extract_scalers,
     fixed_point_iterate,
-    scaling_equation_residuals,
     verify_connection,
 )
-from .sinkhorn import ScalingPair, sinkhorn_scale, verify_uniqueness
+from .sinkhorn import ScalingPair, sinkhorn_scale
 from .states import (
     ENTANGLED,
     INCONCLUSIVE,
@@ -74,11 +73,9 @@ __all__ = [
     "random_full_rank_state",
     "random_haar_unitary",
     "random_separable_state",
-    "scaling_equation_residuals",
     "sinkhorn_scale",
     "state_from_dict",
     "state_to_dict",
     "verify_connection",
-    "verify_uniqueness",
     "wishart_state_matrix",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .states import DensityMatrix
+from .states import DensityMatrix, _factor_dims
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,11 +33,13 @@ class ChoiOperator:
     _realigned: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, m = self.dim_in, self.dim_out
+        n, m = _factor_dims(self.dim_in, self.dim_out)
         choi = matcore.as_cmatrix(self.choi, n * m, "Choi matrix")
         realigned = choi.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
         realigned.flags.writeable = False
         object.__setattr__(self, "choi", choi)
+        object.__setattr__(self, "dim_in", n)
+        object.__setattr__(self, "dim_out", m)
         object.__setattr__(self, "_realigned", realigned)
 
 

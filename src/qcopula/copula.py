@@ -259,6 +259,13 @@ def fixed_point_iterate(
     have started from. ``lam`` is read off from a single extra application
     of T to the trace-one ray. The loop is ``_iterate``, the one place
     restarts are handled; ``fixed_point_batch`` hands it each restarting state.
+
+    Before any step, a ``tol`` that is not finite and positive or a
+    ``max_iter`` below 1 raises ``ValueError``, and so does an ``init``
+    that is not positive definite. An ``init`` that is not n x n raises
+    ``ShapeMismatch``, one with NaN or Inf entries ``NonFinite``, and one
+    not Hermitian within 1e-10 relative ``NotHermitian``; each message
+    names ``init``.
     """
     _check_stopping(tol, max_iter)
     with matcore._lapack_errors():
@@ -532,8 +539,10 @@ def fixed_point_batch(
 
     Entry k is, bit for bit, the report ``fixed_point_iterate(phis[k], tol,
     max_iter, inits[k])`` returns, or the ``SingularIntermediate`` it
-    raises: one state's failure stays its own. Bad settings and inits,
-    mixed dims and unmatched inits raise ``ValueError`` before any work. A
+    raises: one state's failure stays its own. Bad settings, mixed dims,
+    unmatched inits and each init ``fixed_point_iterate`` refuses raise
+    before any work, with the errors it raises (``ValueError``, and
+    ``ShapeMismatch``, ``NonFinite`` or ``NotHermitian`` for an init). A
     chunk of one state, such as the lone state of ``copula_of``, runs the
     serial loop, which is faster than a stack of one. A larger chunk steps
     in lockstep until a state converges, fails a floor or restarts; a
@@ -565,7 +574,7 @@ def fixed_point_batch(
 def _scaling_residuals(r, phi0, phi1, inv0, inv1) -> list:
     """Relative Frobenius residuals (forward, adjoint) of the two defining
     equations for each stacked scaling pair, given inv_k = phi_k^{-1}. Each
-    norm is taken on one state's matrix, as a single residual takes it."""
+    norm is taken on one state's matrix."""
     n, m = phi0.shape[-1], phi1.shape[-1]
     rhs1 = inv1 / m
     rhs2 = phi0 / n
@@ -576,21 +585,6 @@ def _scaling_residuals(r, phi0, phi1, inv0, inv1) -> list:
         (float(norm(a) / norm(b)), float(norm(c) / norm(d)))
         for a, b, c, d in zip(miss1, rhs1, miss2, rhs2)
     ]
-
-
-def scaling_equation_residuals(
-    phi: choimod.ChoiOperator, phi0: np.ndarray, phi1: np.ndarray
-) -> tuple[float, float]:
-    """Relative Frobenius residuals of the two defining equations for the
-    scaling pair."""
-    phi0 = matcore.as_cmatrix(phi0, phi.dim_in, "phi0")
-    phi1 = matcore.as_cmatrix(phi1, phi.dim_out, "phi1")
-    with matcore._lapack_errors():
-        inv0, inv1 = _inv_pd(phi0, "phi0"), _inv_pd(phi1, "phi1")
-    (res,) = _scaling_residuals(
-        phi._realigned[None], phi0[None], phi1[None], inv0[None], inv1[None]
-    )
-    return res
 
 
 def _run_error(report, prefix: str = ""):

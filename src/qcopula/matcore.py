@@ -99,7 +99,8 @@ _eigh, _eigvalsh, _solve, _inv, _cholesky = _lapack_routines(_umath_linalg)
 
 def as_cmatrix(a, dim: int, what: str) -> np.ndarray:
     """The one matrix intake: ``a`` as a finite, read-only (dim, dim)
-    complex128 array the caller may keep. A read-only complex128 array that
+    complex128 array the caller may keep; the ``ShapeMismatch`` or
+    ``NonFinite`` it raises names ``what``. A read-only complex128 array that
     owns its data, such as a checked state's matrix, is returned as it is;
     anything else is copied."""
     owned = type(a) is np.ndarray and a.flags.owndata and not a.flags.writeable
@@ -108,7 +109,7 @@ def as_cmatrix(a, dim: int, what: str) -> np.ndarray:
     if m.shape != (dim, dim):
         raise ShapeMismatch(f"{what} has shape {m.shape}, expected ({dim}, {dim})")
     if not np.isfinite(m).all():
-        raise NonFinite("matrix contains NaN or Inf entries")
+        raise NonFinite(f"{what} contains NaN or Inf entries")
     return m
 
 

@@ -35,19 +35,14 @@ def _deviation(s: np.ndarray) -> float:
     )
 
 
-def sinkhorn_scale(
-    a,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    d2_init=None,
-) -> ScalingPair:
+def sinkhorn_scale(a, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> ScalingPair:
     """Alternating row/column normalization until every row and column sum
     is within ``tol`` of 1.
 
-    The returned pair is gauge-fixed to d1[0] = 1. ``d2_init`` selects the
-    starting column scaling (all ones by default); any positive start
-    converges to the same pair modulo the scalar gauge. Sums that overflow
-    to a non-finite deviation raise ``NotConverged``, as a cap reached does.
+    Both scalings start at all ones, and the returned pair is gauge-fixed
+    to d1[0] = 1. Starting from a positive column scaling e is scaling
+    ``a * e[None, :]`` instead. Sums that overflow to a non-finite
+    deviation raise ``NotConverged``, as a cap reached does.
     """
     mat = np.asarray(a, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -63,13 +58,8 @@ def sinkhorn_scale(
     if max_iter < 1:
         raise InvalidInput(f"max_iter must be at least 1, got {max_iter!r}")
     n = mat.shape[0]
-    if d2_init is None:
-        d2 = np.ones(n)
-    else:
-        d2 = np.asarray(d2_init, dtype=np.float64).copy()
-        if d2.shape != (n,) or np.any(d2 <= 0.0) or not np.all(np.isfinite(d2)):
-            raise InvalidInput("d2_init must be a positive vector of matching length")
     d1 = np.ones(n)
+    d2 = np.ones(n)
 
     def scaled() -> np.ndarray:
         return d1[:, None] * mat * d2[None, :]
@@ -95,18 +85,3 @@ def sinkhorn_scale(
     d1 = d1 / gauge
     d2 = d2 * gauge
     return ScalingPair(d1, d2, scaled(), iterations, dev)
-
-
-def verify_uniqueness(a, p1: ScalingPair, p2: ScalingPair, tol: float = 1e-10) -> bool:
-    """True iff the two pairs differ only by the scalar gauge (c d1, d2/c),
-    with c estimated from the first components and checked on all."""
-    mat = np.asarray(a, dtype=np.float64)
-    n = mat.shape[0]
-    if p1.d1.shape != (n,) or p2.d1.shape != (n,):
-        return False
-    c = p2.d1[0] / p1.d1[0]
-    if not np.isfinite(c) or c <= 0.0:
-        return False
-    err1 = float(np.max(np.abs(p2.d1 - c * p1.d1)) / np.max(np.abs(p2.d1)))
-    err2 = float(np.max(np.abs(p2.d2 - p1.d2 / c)) / np.max(np.abs(p2.d2)))
-    return err1 <= tol and err2 <= tol

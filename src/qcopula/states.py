@@ -51,9 +51,7 @@ class DensityMatrix:
     _cholesky: InitVar[bool] = False
 
     def __post_init__(self, _cholesky):
-        n, m = int(self.dim_a), int(self.dim_b)
-        if n < 1 or m < 1:
-            raise InvalidInput("dims: factor dimensions must be positive integers")
+        n, m = _factor_dims(self.dim_a, self.dim_b)
         mat = np.asarray(self.mat, dtype=np.complex128)
         h, w, _ = _check_state(mat, n, m, STATE_TRACE_ATOL, "density matrix", cholesky=_cholesky)
         if w is not None:
@@ -76,6 +74,15 @@ class DensityMatrix:
 
     def tensor_view(self) -> np.ndarray:
         return self.mat.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+
+
+def _factor_dims(n, m) -> tuple[int, int]:
+    """(n, m) as Python ints once both are positive integers, Python or
+    numpy but not bools; ``InvalidInput`` otherwise."""
+    for d in (n, m):
+        if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+            raise InvalidInput("dims: factor dimensions must be positive integers")
+    return int(n), int(m)
 
 
 def _cholesky_succeeds(h: np.ndarray) -> bool:
@@ -238,7 +245,6 @@ def random_separable_state(n: int, m: int, terms: int, seed) -> DensityMatrix:
         acc = np.zeros((n * m, n * m), dtype=np.complex128)
         for term in prods:
             acc += term
-        acc = matcore.hermitian_part(acc)
         acc /= np.trace(acc).real
         rho = DensityMatrix(acc, n, m)
         if rho.eig_range[0] > FULL_RANK_FLOOR:

@@ -71,8 +71,7 @@ def solve_verifies_or_reports_not_converged(rho, cfg):
         assert report.iterations == cfg.max_iter or cfg.tol * lo < copula.ROUNDING_EPS * hi
         return report
     assert max(states.marginal_residuals(result.chi)) <= max(cfg.marginal_tol, cfg.tol)
-    phi = choi.choi_from_state(rho)
-    residuals = copula.scaling_equation_residuals(phi, result.scalers.phi0, result.scalers.phi1)
+    residuals = (result.scalers.residual_forward, result.scalers.residual_adjoint)
     assert max(residuals) <= max(copula.SCALING_EQ_RTOL, cfg.tol)
     return result.report
 

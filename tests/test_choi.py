@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcopula import choi, matcore, states
-from qcopula.errors import ShapeMismatch
+from qcopula.errors import InvalidInput, ShapeMismatch
 from oracles import adjoint, apply_via_partial_trace, choi_from_map
 from spectral_certificate import obeys_positivity_certificate
 
@@ -33,6 +33,19 @@ def bell_state():
         for j in (0, 1):
             mat[i * 2 + i, j * 2 + j] = 0.5
     return states.DensityMatrix(mat, 2, 2)
+
+
+class TestDims:
+    @pytest.mark.parametrize("dims", [(True, 4), (2.5, 2), (0, 4)], ids=["bool", "float", "zero"])
+    def test_rejects_dims_that_are_not_positive_integers(self, dims):
+        message = "dims: factor dimensions must be positive integers"
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            choi.ChoiOperator(np.eye(4) / 4, *dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        phi = choi.ChoiOperator(np.eye(6) / 6, np.int64(2), np.int32(3))
+        assert (phi.dim_in, phi.dim_out) == (2, 3)
+        assert type(phi.dim_in) is int and type(phi.dim_out) is int
 
 
 class TestChoiFromState:

@@ -1,7 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from qcopula.errors import (
     VerificationFailed,
 )
 from qcopula.jsonio import canonical_dumps
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def write_state(path, rho):
@@ -288,6 +294,28 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "preserve-separability" in err and dims in err
         assert not out.exists()
+
+
+def test_entangled_sampler_gives_up(tmp_path, monkeypatch, capsys):
+    # no draw is entangled, so the second half's first case runs out of draws
+    separable = states.SeparabilityVerdict(states.SEPARABLE, 0.0)
+    monkeypatch.setattr(cli.states, "ppt_verdict", lambda rho: separable)
+    out = tmp_path / "out.json"
+    argv = ["experiment", "preserve-separability", "--count", "2", "--output", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: could not sample an entangled state at dims (2, 2)\n"
+    assert not out.exists()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    matrix = write_json(tmp_path / "m.json", [[1.0, 2.0], [3.0, 4.0]])
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcopula.cli", "classical", matrix],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["scaled"]
 
 
 class TestBatchedSuites:

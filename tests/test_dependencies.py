@@ -1,5 +1,6 @@
-"""The package imports nothing beyond the standard library and numpy, and
-only ``matcore`` names the factorizations of ``numpy.linalg``."""
+"""The package imports nothing beyond the standard library and numpy,
+only ``matcore`` names the factorizations of ``numpy.linalg``, and every
+public function has a caller outside the tests."""
 
 import ast
 import sys
@@ -8,10 +9,18 @@ from pathlib import Path
 import pytest
 
 import qcopula
+from test_readme import quick_start_code
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "qcopula"}
 FACTORIZATIONS = {"eigh", "eigvalsh", "inv", "solve", "cholesky"}
 SOURCES = sorted(Path(qcopula.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(qcopula.__file__).resolve().parents[2] / "perfbench").glob("*.py"))
+# public functions with no caller in src/, perfbench/ or the README quick start
+UNCALLED = {
+    "choi.apply": "the public Phi, which the solver applies through choi._forward",
+    "choi.apply_adjoint": "the public Phi*, which the solver applies through choi._adjoint",
+    "copula.copula_invariants": "the only local-unitary fingerprint of a copula the package returns",
+}
 
 
 def imported_roots(tree: ast.AST) -> set[str]:
@@ -57,3 +66,47 @@ def test_only_matcore_names_the_factorizations(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     want = FACTORIZATIONS if path.name == "matcore.py" else set()
     assert linalg_factorizations(tree) == want
+
+
+def names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name and attribute ``tree`` reads or binds outside ``skip``;
+    docstrings and comments name nothing."""
+    skipped = set(map(id, ast.walk(skip))) if skip is not None else set()
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped
+    }
+
+
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+TREES = {path.stem: parse(path) for path in SOURCES}
+PUBLIC_FUNCTIONS = {
+    f"{module}.{node.name}": node
+    for module, tree in TREES.items()
+    for node in tree.body
+    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+}
+OUTSIDE_SRC = set().union(*map(names, map(parse, PERFBENCH)), names(ast.parse(quick_start_code())))
+
+
+def test_public_functions_found():
+    assert {"copula.copula_of", "choi.apply", "states.ppt_verdict"} <= set(PUBLIC_FUNCTIONS)
+    assert PERFBENCH
+
+
+@pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
+def test_public_function_is_called(name):
+    # a public function only the tests call is code to delete; the few kept
+    # on purpose sit on UNCALLED with their reason
+    node = PUBLIC_FUNCTIONS[name]
+    used = set(OUTSIDE_SRC)
+    for tree in TREES.values():
+        used |= names(tree, skip=node)
+    if name in UNCALLED:
+        assert node.name not in used, f"{name} has a caller now; drop it from UNCALLED"
+    else:
+        assert node.name in used, f"{name} has no caller outside the tests"

@@ -27,6 +27,10 @@ class TestCanonicalDumps:
         with pytest.raises(ValueError):
             jsonio.canonical_dumps({"x": math.inf})
 
+    def test_rejects_an_object_json_cannot_write(self):
+        with pytest.raises(TypeError, match="^cannot serialize object of type object$"):
+            jsonio.canonical_dumps({"x": object()})
+
     def test_layout_is_pinned(self):
         doc = {
             "nested": {"inner": {"empty_object": {}, "empty_list": []}},

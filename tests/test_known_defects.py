@@ -17,7 +17,7 @@ import pytest
 from qcopula import cli, copula, states
 from qcopula.errors import RankDeficient
 from spectral_certificate import near_boundary_state, solve_verifies_or_reports_not_converged
-from test_copula import near_boundary_state as near_singular_mixture
+from test_copula import near_singular_mixture
 
 DIMS = ((2, 2), (2, 3), (3, 3))
 

@@ -287,7 +287,6 @@ class TestFailurePaths:
         assert isinstance(runs[1], SingularIntermediate)
         pairs = copula.extract_scalers([phi, bad, phi], runs)
         assert pairs[1] is runs[1]
-        copula.scaling_equation_residuals(phi, pairs[0].phi0, pairs[0].phi1)
         outcomes = [
             ({}, ["CopulaResult", "RankDeficient", "RankDeficient"]),
             ({"regularize": True}, ["CopulaResult"] * 3),
@@ -331,9 +330,8 @@ class TestFailurePaths:
         phi = choi.choi_from_state(rho)
         report = copula.fixed_point_iterate(phi, init=np.eye(2))
         copula.fixed_point_batch([phi, phi], inits=[np.eye(2), None])
-        pair = copula.extract_scalers(phi, report)
+        copula.extract_scalers(phi, report)
         copula.extract_scalers([phi], [report])
-        copula.scaling_equation_residuals(phi, pair.phi0, pair.phi1)
         copula.copula_of(rho, copula.SolverConfig(regularize=True))
         copula.copula_batch([rho, rho])
         again = states.DensityMatrix(rho.mat, 2, 2, _cholesky=True)

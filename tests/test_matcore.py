@@ -28,7 +28,7 @@ def pd_factor(a, route="sqrt"):
     return copula._pd_power(*copula._eig_pd(np.linalg.inv(a), "a^-1"), -0.5)
 
 
-class TestCholeskyLikeFactor:
+class TestPdPower:
     def test_identity(self):
         np.testing.assert_allclose(pd_factor(np.eye(3)), np.eye(3))
 
@@ -81,10 +81,10 @@ class TestIntake:
 
     @pytest.mark.parametrize("name", INTAKE_CALLS)
     def test_nan_is_rejected(self, name):
-        _, dim, call = INTAKE_CALLS[name]
+        what, dim, call = INTAKE_CALLS[name]
         bad = np.eye(dim, dtype=complex)
         bad[-1, 0] = np.nan
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match=f"^{re.escape(what)} contains NaN or Inf entries$"):
             call(bad)
 
     def test_keeps_read_only_owned_array_and_copies_the_rest(self):

@@ -1,6 +1,7 @@
 """Tests for the projective metric."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -107,6 +108,13 @@ class TestHilbertDistance:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             pmetric.hilbert_distance(np.eye(2), np.eye(3))
+
+    def test_rejects_non_square(self):
+        message = "a must be a square matrix, got shape (2, 3)"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            pmetric.hilbert_distance(np.ones((2, 3)), np.eye(2))
+        got = pmetric.hilbert_distance(np.ones((2, 2, 3)), np.ones((2, 2, 2)))
+        assert [(type(d), str(d)) for d in got] == [(ShapeMismatch, message)] * 2
 
 
 def serial_distance(a, b):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcopula import matcore, states
-from qcopula.errors import InvalidInput, NotHermitian, NotPSD, QcopulaError
+from qcopula.errors import DegenerateSample, InvalidInput, NotHermitian, NotPSD, QcopulaError
 
 
 def bell_state():
@@ -42,6 +42,19 @@ class TestDensityMatrix:
     def test_rejects_non_positive_dims(self):
         with pytest.raises(InvalidInput, match="factor dimensions must be positive"):
             states.DensityMatrix(np.eye(4) / 4, 0, 4)
+
+    @pytest.mark.parametrize(
+        "dims", [(2.7, 2), ("2", 2), (True, 4), (2, 2.0)], ids=["float", "str", "bool", "float-b"]
+    )
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        message = "dims: factor dimensions must be positive integers"
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            states.DensityMatrix(np.eye(4) / 4, *dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        rho = states.DensityMatrix(np.eye(4) / 4, np.int64(2), np.int32(2))
+        assert (rho.dim_a, rho.dim_b) == (2, 2)
+        assert type(rho.dim_a) is int and type(rho.dim_b) is int
 
     def test_rejects_non_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
@@ -246,6 +259,20 @@ class TestRandomStates:
             got = states.random_separable_state(n, m, terms, mine).mat
             assert got.tobytes() == self.separable_oracle(n, m, terms, theirs).tobytes()
             assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda: states.random_full_rank_state(2, 2, 0),
+            lambda: states.random_separable_state(2, 2, 8, 0),
+        ],
+        ids=["full-rank", "separable"],
+    )
+    def test_samplers_give_up_after_their_attempts(self, monkeypatch, sample):
+        # no draw clears a floor of the largest possible eigenvalue
+        monkeypatch.setattr(states, "FULL_RANK_FLOOR", 1.0)
+        with pytest.raises(DegenerateSample, match=r"\(2, 2\) state in 10 attempts$"):
+            sample()
 
     def test_separable_rejects_bad_terms(self):
         with pytest.raises(ValueError):
