@@ -23,6 +23,10 @@ UNCALLED = {
 }
 
 
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def imported_roots(tree: ast.AST) -> set[str]:
     """Top-level names of every absolute import in ``tree``."""
     roots = set()
@@ -55,7 +59,7 @@ def test_sources_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_only_stdlib_and_numpy(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = parse(path)
     assert imported_roots(tree) - ALLOWED == set()
 
 
@@ -63,7 +67,7 @@ def test_imports_only_stdlib_and_numpy(path):
 def test_only_matcore_names_the_factorizations(path):
     # matcore's LAPACK helpers are the one route to eigh, eigvalsh, inv,
     # solve and cholesky; its fallback names all five
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = parse(path)
     want = FACTORIZATIONS if path.name == "matcore.py" else set()
     assert linalg_factorizations(tree) == want
 
@@ -77,10 +81,6 @@ def names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped
     }
-
-
-def parse(path: Path) -> ast.AST:
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 TREES = {path.stem: parse(path) for path in SOURCES}
